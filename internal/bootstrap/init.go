@@ -88,6 +88,9 @@ type Cache struct {
 	literalTerm map[string]rdf.Term
 	// inTree marks strings indexed in the suffix tree.
 	inTree map[string]bool
+	// treeLiterals lists the cached literals indexed in the suffix tree,
+	// once each, in tree insertion order.
+	treeLiterals []string
 }
 
 // PredicatesFor returns the predicate IRIs displayed as s (the local name
@@ -110,6 +113,11 @@ func (c *Cache) Literals() []string {
 	sort.Strings(out)
 	return out
 }
+
+// TreeLiterals returns the cached literals indexed in the suffix tree,
+// in tree insertion order. The slice is shared; callers must not modify
+// it.
+func (c *Cache) TreeLiterals() []string { return c.treeLiterals }
 
 // IsPredicateDisplay reports whether s is a predicate display name.
 func (c *Cache) IsPredicateDisplay(s string) bool {
@@ -460,6 +468,7 @@ func (in *initializer) buildCache(name string, preds []rdf.Term) *Cache {
 		c.inTree[r.lex] = true
 	}
 	c.Tree = suffixtree.New(treeStrings)
+	c.treeLiterals = treeLiteralsOf(treeStrings, c.literalTerm)
 	// Residual literals: everything cached but not in the tree.
 	var residual []string
 	for lex := range in.literals {
@@ -478,6 +487,22 @@ func (in *initializer) buildCache(name string, preds []rdf.Term) *Cache {
 	in.stats.TreeBytes = c.Tree.ApproxBytes()
 	c.Stats = in.stats
 	return c
+}
+
+// treeLiteralsOf returns the cached literals among the suffix tree's
+// input strings, first occurrence only, in input order — the order the
+// tree indexed them in. A literal that shares its text with a predicate
+// display name sits at the display name's position.
+func treeLiteralsOf(treeStrings []string, literals map[string]rdf.Term) []string {
+	seen := make(map[string]bool, len(treeStrings))
+	var out []string
+	for _, s := range treeStrings {
+		if _, lit := literals[s]; lit && !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func min(a, b int) int {

@@ -61,6 +61,7 @@ func MergeCaches(caches ...*Cache) *Cache {
 	}
 	sort.Strings(treeStrings)
 	merged.Tree = suffixtree.New(treeStrings)
+	merged.treeLiterals = treeLiteralsOf(treeStrings, merged.literalTerm)
 	var residual []string
 	for lex := range merged.literalTerm {
 		if !merged.inTree[lex] {

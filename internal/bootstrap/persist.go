@@ -117,11 +117,17 @@ func (c *Cache) saveJSON(w io.Writer) error {
 	for _, p := range c.Predicates {
 		cf.Predicates = append(cf.Predicates, savedTerm{IRI: p.Value})
 	}
-	lexes := make([]string, 0, len(c.literalTerm))
+	// In-tree literals go first, in tree order: Load appends them to the
+	// tree in file order, so the reloaded tree indexes its strings in the
+	// same order and completion ranks ties the same way.
+	var residual []string
 	for lex := range c.literalTerm {
-		lexes = append(lexes, lex)
+		if !c.inTree[lex] {
+			residual = append(residual, lex)
+		}
 	}
-	sort.Strings(lexes)
+	sort.Strings(residual)
+	lexes := append(append([]string(nil), c.treeLiterals...), residual...)
 	for _, lex := range lexes {
 		t := c.literalTerm[lex]
 		cf.Literals = append(cf.Literals, savedLit{
@@ -206,6 +212,7 @@ func Load(r io.Reader) (*Cache, error) {
 		}
 	}
 	c.Tree = suffixtree.New(treeStrings)
+	c.treeLiterals = treeLiteralsOf(treeStrings, c.literalTerm)
 	sort.Strings(residual)
 	c.Bins = bins.New(residual)
 	c.Stats.TreeNodes = c.Tree.NodeCount()

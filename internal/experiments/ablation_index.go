@@ -40,14 +40,8 @@ func (p *prefixIndex) search(prefix string, limit int) []string {
 // recall because completion terms are substrings, not prefixes.
 func IndexAblation(env *Env) []AblationRow {
 	terms := qcmTerms()
-	// Rebuild the same string set the tree indexes.
-	var strs []string
-	for _, lex := range env.Cache.Literals() {
-		if env.Cache.InSuffixTree(lex) {
-			strs = append(strs, lex)
-		}
-	}
-	pi := newPrefixIndex(strs)
+	// Index the same literals the tree indexes.
+	pi := newPrefixIndex(env.Cache.TreeLiterals())
 
 	treeHits, prefixHits := 0, 0
 	start := time.Now()

@@ -215,6 +215,22 @@ func (f *Federation) Eval(ctx context.Context, q *sparql.Query) (*sparql.Results
 	return res, nil
 }
 
+// TriplesWithObject returns every triple (?s ?p v) held by the members,
+// and TriplesWithSubject every triple (v ?p ?o). Together they make the
+// federation a steiner.Source: each expansion is one pattern fetch under
+// a fresh epoch fingerprint, the same freshness check and pattern cache
+// Eval uses, with no SPARQL text formatted or parsed and no result rows
+// materialized. The returned slice is shared with the cache; callers must
+// not modify it.
+func (f *Federation) TriplesWithObject(ctx context.Context, v rdf.Term) ([]rdf.Triple, error) {
+	return f.fetchPattern(ctx, f.checkEpochs(ctx), rdf.Term{}, rdf.Term{}, v)
+}
+
+// TriplesWithSubject returns every triple (v ?p ?o); see TriplesWithObject.
+func (f *Federation) TriplesWithSubject(ctx context.Context, v rdf.Term) ([]rdf.Triple, error) {
+	return f.fetchPattern(ctx, f.checkEpochs(ctx), v, rdf.Term{}, rdf.Term{})
+}
+
 // fedGraph adapts the federation to sparql.Graph. Errors from member
 // endpoints are recorded and surface after evaluation (the Graph
 // interface itself cannot fail).
@@ -273,6 +289,12 @@ func (g *fedGraph) CardinalityEstimate(s, p, o rdf.Term) int {
 // cleared the caches) cannot re-plant pre-mutation data that epoch
 // comparison would then never invalidate.
 func (f *Federation) fetchPattern(ctx context.Context, fp string, s, p, o rdf.Term) ([]rdf.Triple, error) {
+	if s.IsLiteral() || p.IsLiteral() {
+		// No RDF triple has a literal subject or predicate. A join
+		// through a literal-valued variable binds one there; shipping
+		// that pattern would only earn a member parse error.
+		return nil, nil
+	}
 	key := patternKey(s, p, o)
 	f.mu.Lock()
 	if ts, ok := f.patternCache[key]; ok {

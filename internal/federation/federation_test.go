@@ -9,6 +9,7 @@ import (
 
 	"sapphire/internal/endpoint"
 	"sapphire/internal/rdf"
+	"sapphire/internal/sparql"
 	"sapphire/internal/store"
 )
 
@@ -396,5 +397,48 @@ func TestFederatedAggregateAcrossMembers(t *testing.T) {
 	}
 	if res.Rows[0]["n"].Value != "3" {
 		t.Errorf("count = %s, want 3", res.Rows[0]["n"].Value)
+	}
+}
+
+// TestJoinThroughLiteralVariable pins the plan shape that binds a
+// literal-valued variable in subject position (?d is a birth date, then
+// the subject of spouse). No triple can match such a pattern, so the
+// federation must answer it empty instead of shipping the member a
+// query it rejects as unparseable — over a local member and over HTTP,
+// with the answers the reference evaluator gives on the store.
+func TestJoinThroughLiteralVariable(t *testing.T) {
+	iri := func(x string) rdf.Term { return rdf.NewIRI("http://x/" + x) }
+	st := store.New()
+	for i, date := range []string{"1917-05-29", "1929-07-28"} {
+		r := iri(fmt.Sprintf("r%d", i))
+		st.MustAdd(rdf.NewTriple(r, iri("birthDate"), rdf.NewTypedLiteral(date, rdf.XSDDate)))
+		st.MustAdd(rdf.NewTriple(r, iri("spouse"), iri(fmt.Sprintf("m%d", i))))
+	}
+	srv := httptest.NewServer(endpoint.Handler(endpoint.NewLocal("remote", st, endpoint.Limits{})))
+	defer srv.Close()
+	members := map[string]endpoint.Endpoint{
+		"local": endpoint.NewLocal("local", st, endpoint.Limits{}),
+		"http":  endpoint.NewClient(srv.URL),
+	}
+	queries := []string{
+		`SELECT ?r ?m WHERE { ?r <http://x/birthDate> ?d . ?d <http://x/spouse> ?m . }`,
+		`SELECT ?r ?p WHERE { ?r <http://x/birthDate> ?d . ?d ?p ?o . }`,
+		`SELECT ?r ?m WHERE { ?r <http://x/birthDate> ?d . OPTIONAL { ?d <http://x/spouse> ?m . } }`,
+	}
+	for name, m := range members {
+		fed := New(m)
+		for _, qs := range queries {
+			got, err := fed.Query(context.Background(), qs)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, qs, err)
+			}
+			want, err := sparql.Eval(st, sparql.MustParse(qs), sparql.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := fmt.Sprint(got.Sorted()), fmt.Sprint(want.Sorted()); g != w {
+				t.Errorf("%s: %s:\n got %s\nwant %s", name, qs, g, w)
+			}
+		}
 	}
 }

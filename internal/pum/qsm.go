@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unicode/utf8"
 
 	"sapphire/internal/bins"
 	"sapphire/internal/bootstrap"
@@ -169,17 +170,14 @@ func (p *PUM) literalAlternatives(q *sparql.Query) []Suggestion {
 			continue
 		}
 		cur := pat.O.Term
-		lo := len([]rune(cur.Value)) - p.cfg.Alpha
-		hi := len([]rune(cur.Value)) + p.cfg.Beta
+		n := utf8.RuneCountInString(cur.Value)
+		lo, hi := n-p.cfg.Alpha, n+p.cfg.Beta
 		matches := p.cache.Bins.SearchSimilar(cur.Value, lo, hi, p.cfg.Workers, p.cfg.Theta, p.cfg.Measure)
 		// The significant literals live in the suffix tree, not the
 		// bins; include them in the alternative search so the most
 		// important literals are never invisible to the QSM.
-		for _, lex := range p.cache.Literals() {
-			if !p.cache.InSuffixTree(lex) {
-				continue
-			}
-			n := len([]rune(lex))
+		for _, lex := range p.cache.TreeLiterals() {
+			n := utf8.RuneCountInString(lex)
 			if n < lo || n > hi {
 				continue
 			}

@@ -23,8 +23,7 @@ func (p *PUM) Relax(ctx context.Context, q *sparql.Query, litAlts []Suggestion) 
 		return nil, nil
 	}
 	preferred := p.preferredPredicates(q)
-	src := steiner.EndpointSource{Endpoint: federationEndpoint{p.fed}}
-	res, err := steiner.Connect(ctx, src, groups, preferred, p.cfg.Relax)
+	res, err := steiner.Connect(ctx, p.fed, groups, preferred, p.cfg.Relax)
 	if err != nil {
 		return nil, err
 	}
@@ -142,19 +141,4 @@ func treeToQuery(tree []rdf.Triple, orig *sparql.Query) *sparql.Query {
 		})
 	}
 	return q
-}
-
-// federationEndpoint adapts the federation to the endpoint.Endpoint
-// interface so the Steiner source can expand vertices across all
-// registered endpoints.
-type federationEndpoint struct {
-	fed interface {
-		Query(ctx context.Context, q string) (*sparql.Results, error)
-	}
-}
-
-func (f federationEndpoint) Name() string { return "federation" }
-
-func (f federationEndpoint) Query(ctx context.Context, q string) (*sparql.Results, error) {
-	return f.fed.Query(ctx, q)
 }

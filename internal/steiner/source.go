@@ -10,17 +10,16 @@ package steiner
 
 import (
 	"context"
-	"fmt"
 
-	"sapphire/internal/endpoint"
 	"sapphire/internal/rdf"
 	"sapphire/internal/store"
 )
 
 // Source exposes the two expansion queries of the paper: all triples with
 // v as object (the only expansion possible for literals) and all triples
-// with v as subject. Implementations are expected to be remote; the
-// algorithm memoizes and budgets calls.
+// with v as subject. Implementations are expected to be remote (the
+// federation is the one the QSM uses); the algorithm memoizes and
+// budgets calls.
 type Source interface {
 	// TriplesWithObject returns triples (?s, ?p, v).
 	TriplesWithObject(ctx context.Context, v rdf.Term) ([]rdf.Triple, error)
@@ -40,36 +39,4 @@ func (s StoreSource) TriplesWithObject(_ context.Context, v rdf.Term) ([]rdf.Tri
 // TriplesWithSubject implements Source.
 func (s StoreSource) TriplesWithSubject(_ context.Context, v rdf.Term) ([]rdf.Triple, error) {
 	return s.Store.MatchSlice(v, rdf.Term{}, rdf.Term{}), nil
-}
-
-// EndpointSource adapts a SPARQL endpoint as a Source; each call issues
-// one query, which is what the expansion budget counts.
-type EndpointSource struct{ Endpoint endpoint.Endpoint }
-
-// TriplesWithObject implements Source.
-func (s EndpointSource) TriplesWithObject(ctx context.Context, v rdf.Term) ([]rdf.Triple, error) {
-	q := fmt.Sprintf("SELECT ?s ?p WHERE { ?s ?p %s . }", v)
-	res, err := s.Endpoint.Query(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]rdf.Triple, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		out = append(out, rdf.Triple{S: row["s"], P: row["p"], O: v})
-	}
-	return out, nil
-}
-
-// TriplesWithSubject implements Source.
-func (s EndpointSource) TriplesWithSubject(ctx context.Context, v rdf.Term) ([]rdf.Triple, error) {
-	q := fmt.Sprintf("SELECT ?p ?o WHERE { %s ?p ?o . }", v)
-	res, err := s.Endpoint.Query(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]rdf.Triple, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		out = append(out, rdf.Triple{S: v, P: row["p"], O: row["o"]})
-	}
-	return out, nil
 }
