@@ -1,6 +1,7 @@
 # Sapphire build/test/bench entry points.
 #
-#   make test           - vet gate + full test suite
+#   make test           - vet gate + full test suite, then the same for the
+#                         separate sapbench benchmark module
 #   make race           - race-detector pass over the concurrency-sensitive packages
 #   make fuzz           - short parser and Jaro-Winkler fuzz smoke (same job CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
@@ -95,8 +96,12 @@ lint:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# sapbench/ is its own Go module, so ./... above never compiles it;
+# vetting and testing it here catches an exported name it imports
+# disappearing from the main module.
 test: vet
 	$(GO) test ./...
+	cd sapbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/store/ ./internal/store/persist/ ./internal/sparql/ ./internal/endpoint/ ./internal/federation/

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"sapphire/internal/bins"
 	"sapphire/internal/rdf"
@@ -26,8 +27,8 @@ import (
 // A cache file that spent 17 hours being earned deserves better than
 // "json: unexpected end of input" after a crashed save or a disk
 // hiccup: Save frames the JSON with a header carrying its length and
-// CRC32C, Load verifies both before trusting a byte (and still accepts
-// the headerless v1 files earlier builds wrote), and SaveFile writes
+// CRC32C, Load verifies both before trusting a byte (a file without the
+// header is an error, never decoded unverified), and SaveFile writes
 // through a temp file with fsync and an atomic rename so an interrupted
 // save can never destroy the previous good cache.
 
@@ -54,25 +55,13 @@ type savedLit struct {
 const cacheFileVersion = 1
 
 // cacheHeaderFmt is the v2 envelope: a comment-style first line naming
-// the format and carrying the body's CRC32C and byte length. Legacy v1
-// files start directly with '{'.
+// the format and carrying the body's CRC32C and byte length.
 const cacheHeaderFmt = "#sapphire-cache v2 crc32c=%08x bytes=%d\n"
 
-var cacheCastagnoli = crc32.MakeTable(crc32.Castagnoli)
+// cacheHeaderPrefix is how every cache file Load accepts begins.
+const cacheHeaderPrefix = "#sapphire-cache v2 "
 
-// Save writes the cache to w in the checksummed v2 format.
-func (c *Cache) Save(w io.Writer) error {
-	var body bytes.Buffer
-	if err := c.saveJSON(&body); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, cacheHeaderFmt,
-		crc32.Checksum(body.Bytes(), cacheCastagnoli), body.Len()); err != nil {
-		return err
-	}
-	_, err := w.Write(body.Bytes())
-	return err
-}
+var cacheCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SaveFile writes the cache to path atomically: temp file in the same
 // directory, fsync, rename over the target, fsync the directory. A
@@ -107,8 +96,9 @@ func (c *Cache) SaveFile(path string) error {
 	return nil
 }
 
-// saveJSON writes the raw JSON body (the v1 payload).
-func (c *Cache) saveJSON(w io.Writer) error {
+// Save writes the cache to w in the checksummed v2 format: the header
+// line, then the JSON body it describes.
+func (c *Cache) Save(w io.Writer) error {
 	cf := cacheFile{
 		Version:  cacheFileVersion,
 		Endpoint: c.Endpoint,
@@ -137,46 +127,48 @@ func (c *Cache) saveJSON(w io.Writer) error {
 			InTree: c.inTree[lex],
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(cf)
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(cf); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, cacheHeaderFmt,
+		crc32.Checksum(body.Bytes(), cacheCastagnoli), body.Len()); err != nil {
+		return err
+	}
+	_, err := w.Write(body.Bytes())
+	return err
 }
 
 // Load reads a cache previously written by Save and rebuilds the
-// indexes. v2 files are accepted only if the body matches the header's
-// length and CRC32C — a truncated or bit-flipped cache is an error, not
-// a silently smaller lexicon. Headerless v1 files load unverified for
-// compatibility.
+// indexes. The file must start with the v2 header, and its body must
+// match the header's length and CRC32C — a headerless, truncated or
+// bit-flipped cache is an error, not a silently smaller lexicon.
 func Load(r io.Reader) (*Cache, error) {
 	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
+	header, err := br.ReadString('\n')
+	if !strings.HasPrefix(header, cacheHeaderPrefix) {
+		return nil, fmt.Errorf("bootstrap: loading cache: missing the %q header line", cacheHeaderPrefix)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bootstrap: cache header: %w", err)
+	}
+	var wantCRC uint32
+	var wantLen int
+	if _, err := fmt.Sscanf(header, "#sapphire-cache v2 crc32c=%x bytes=%d", &wantCRC, &wantLen); err != nil {
+		return nil, fmt.Errorf("bootstrap: unrecognized cache header %q", header)
+	}
+	data, err := io.ReadAll(br)
 	if err != nil {
 		return nil, fmt.Errorf("bootstrap: loading cache: %w", err)
 	}
-	var body io.Reader = br
-	if first[0] == '#' {
-		header, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("bootstrap: cache header: %w", err)
-		}
-		var wantCRC uint32
-		var wantLen int
-		if _, err := fmt.Sscanf(header, "#sapphire-cache v2 crc32c=%x bytes=%d", &wantCRC, &wantLen); err != nil {
-			return nil, fmt.Errorf("bootstrap: unrecognized cache header %q", header)
-		}
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("bootstrap: loading cache: %w", err)
-		}
-		if len(data) != wantLen {
-			return nil, fmt.Errorf("bootstrap: cache body is %d bytes, header says %d (truncated?)", len(data), wantLen)
-		}
-		if got := crc32.Checksum(data, cacheCastagnoli); got != wantCRC {
-			return nil, fmt.Errorf("bootstrap: cache checksum mismatch (got %08x, header says %08x)", got, wantCRC)
-		}
-		body = bytes.NewReader(data)
+	if len(data) != wantLen {
+		return nil, fmt.Errorf("bootstrap: cache body is %d bytes, header says %d (truncated?)", len(data), wantLen)
+	}
+	if got := crc32.Checksum(data, cacheCastagnoli); got != wantCRC {
+		return nil, fmt.Errorf("bootstrap: cache checksum mismatch (got %08x, header says %08x)", got, wantCRC)
 	}
 	var cf cacheFile
-	if err := json.NewDecoder(body).Decode(&cf); err != nil {
+	if err := json.Unmarshal(data, &cf); err != nil {
 		return nil, fmt.Errorf("bootstrap: loading cache: %w", err)
 	}
 	if cf.Version != cacheFileVersion {

@@ -63,19 +63,27 @@ func TestCacheFileChecksummed(t *testing.T) {
 	}
 }
 
-func TestCacheLoadsLegacyV1(t *testing.T) {
+// TestCacheRejectsHeaderless: a bare JSON body — the headerless format
+// earlier builds wrote — carries no length or checksum to verify, so
+// Load refuses it with an error naming the missing header instead of
+// decoding it unverified.
+func TestCacheRejectsHeaderless(t *testing.T) {
 	c := initTestCache(t)
-	// A v1 file is the bare JSON body earlier builds wrote.
-	var v1 bytes.Buffer
-	if err := c.saveJSON(&v1); err != nil {
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&v1)
-	if err != nil {
-		t.Fatalf("legacy v1 cache rejected: %v", err)
+	data := buf.Bytes()
+	body := data[bytes.IndexByte(data, '\n')+1:]
+	_, err := Load(bytes.NewReader(body))
+	if err == nil {
+		t.Fatal("headerless cache loaded")
 	}
-	if len(loaded.Predicates) != len(c.Predicates) {
-		t.Fatalf("legacy load: %d predicates, want %d", len(loaded.Predicates), len(c.Predicates))
+	if !strings.Contains(err.Error(), "#sapphire-cache v2") {
+		t.Errorf("error %q does not name the missing header", err)
+	}
+	if _, err := Load(strings.NewReader("")); err == nil {
+		t.Error("empty cache file loaded")
 	}
 }
 

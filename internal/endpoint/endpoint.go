@@ -13,7 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"sapphire/internal/sparql"
@@ -157,8 +157,8 @@ type Local struct {
 	limits Limits
 	cache  *resultCache // nil when Limits.CacheBytes == 0
 
-	mu    sync.Mutex
-	stats Stats
+	// Serving counters, bumped lock-free on every query.
+	queries, rows, rejected, timeouts atomic.Int64
 }
 
 // NewLocal wraps a store as an endpoint with the given limits.
@@ -184,9 +184,12 @@ func (l *Local) Epoch(context.Context) (uint64, bool) {
 
 // Stats returns a snapshot of the endpoint counters.
 func (l *Local) Stats() Stats {
-	l.mu.Lock()
-	st := l.stats
-	l.mu.Unlock()
+	st := Stats{
+		Queries:  l.queries.Load(),
+		Timeouts: l.timeouts.Load(),
+		Rejected: l.rejected.Load(),
+		Rows:     l.rows.Load(),
+	}
 	if l.cache != nil {
 		st.CacheHits, st.CacheRawHits, st.CacheMisses, st.CacheEvicted,
 			st.CacheCoalesced, st.CacheBytes, st.CacheEntries = l.cache.counters()
@@ -197,9 +200,10 @@ func (l *Local) Stats() Stats {
 // ResetStats zeroes the counters (cache gauges reflect live contents
 // and are unaffected; cached entries stay valid).
 func (l *Local) ResetStats() {
-	l.mu.Lock()
-	l.stats = Stats{}
-	l.mu.Unlock()
+	l.queries.Store(0)
+	l.timeouts.Store(0)
+	l.rejected.Store(0)
+	l.rows.Store(0)
 	if l.cache != nil {
 		l.cache.resetCounters()
 	}
@@ -214,9 +218,7 @@ func (l *Local) ResetStats() {
 // parse + canonicalization and share the entry — and concurrent
 // identical misses coalesce into a single evaluation.
 func (l *Local) Query(ctx context.Context, query string) (*sparql.Results, error) {
-	l.mu.Lock()
-	l.stats.Queries++
-	l.mu.Unlock()
+	l.queries.Add(1)
 
 	// Raw-string pre-key: an exact repeat at an unchanged epoch needs
 	// no parsing at all. The probe happens before the parse on purpose;
@@ -230,9 +232,7 @@ func (l *Local) Query(ctx context.Context, query string) (*sparql.Results, error
 			if err := l.simulateLatency(ctx); err != nil {
 				return nil, err
 			}
-			l.mu.Lock()
-			l.stats.Rows += int64(len(res.Rows))
-			l.mu.Unlock()
+			l.rows.Add(int64(len(res.Rows)))
 			return res, nil
 		}
 	}
@@ -272,9 +272,7 @@ func (l *Local) Query(ctx context.Context, query string) (*sparql.Results, error
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	l.stats.Rows += int64(len(res.Rows))
-	l.mu.Unlock()
+	l.rows.Add(int64(len(res.Rows)))
 	return res, nil
 }
 
@@ -297,9 +295,7 @@ func (l *Local) simulateLatency(ctx context.Context) error {
 func (l *Local) eval(ctx context.Context, q *sparql.Query) (*sparql.Results, error) {
 	if l.limits.RejectEstimateAbove > 0 {
 		if est := l.estimate(q); est > l.limits.RejectEstimateAbove {
-			l.mu.Lock()
-			l.stats.Rejected++
-			l.mu.Unlock()
+			l.rejected.Add(1)
 			return nil, fmt.Errorf("endpoint %s: estimate %d: %w", l.name, est, ErrRejected)
 		}
 	}
@@ -335,9 +331,7 @@ func (l *Local) eval(ctx context.Context, q *sparql.Query) (*sparql.Results, err
 	res, err := sparql.Eval(l.store, q, sparql.Options{Budget: budget, Workers: l.limits.Workers})
 	if err != nil {
 		if errors.Is(err, ErrTimeout) {
-			l.mu.Lock()
-			l.stats.Timeouts++
-			l.mu.Unlock()
+			l.timeouts.Add(1)
 			return nil, fmt.Errorf("endpoint %s: %w", l.name, ErrTimeout)
 		}
 		return nil, fmt.Errorf("endpoint %s: %w", l.name, err)

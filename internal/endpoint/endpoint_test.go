@@ -227,16 +227,16 @@ func TestHTTPTypedLiteralRoundTrip(t *testing.T) {
 }
 
 // TestHTTPEpochProtocol pins the wire form of the epoch extension:
-// `GET ?epoch` returns the decimal epoch, query responses carry the
+// `GET /epoch` returns the decimal epoch, query responses carry the
 // EpochHeader, the probe tracks store mutations, and Client.Epoch reads
 // it all back through the Epoched interface.
 func TestHTTPEpochProtocol(t *testing.T) {
 	st := testStore(t, 3)
 	local := NewLocal("local", st, Limits{})
-	srv := httptest.NewServer(Handler(local))
+	srv := httptest.NewServer(NewMux(local))
 	defer srv.Close()
 
-	client := NewClient(srv.URL)
+	client := NewClient(srv.URL + "/sparql")
 	e1, ok := client.Epoch(context.Background())
 	if !ok {
 		t.Fatal("Client.Epoch failed against an Epoched server")
@@ -247,7 +247,7 @@ func TestHTTPEpochProtocol(t *testing.T) {
 	}
 
 	// Query responses carry the header.
-	resp, err := srv.Client().Get(srv.URL + "?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s a <http://x/Person> . }`))
+	resp, err := srv.Client().Get(srv.URL + "/sparql?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s a <http://x/Person> . }`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +269,14 @@ func TestHTTPEpochProtocol(t *testing.T) {
 func TestHTTPEpochUnknown(t *testing.T) {
 	inner := NewLocal("inner", testStore(t, 1), Limits{})
 	flaky := NewFlaky(inner, 0, 0, 1) // Flaky does not implement Epoched
-	srv := httptest.NewServer(Handler(flaky))
+	srv := httptest.NewServer(NewMux(flaky))
 	defer srv.Close()
-	if _, ok := NewClient(srv.URL).Epoch(context.Background()); ok {
+	if _, ok := NewClient(srv.URL + "/sparql").Epoch(context.Background()); ok {
 		t.Fatal("Epoch reported known for a non-Epoched endpoint")
 	}
 	// And against a server that isn't there at all.
 	srv.Close()
-	if _, ok := NewClient(srv.URL).Epoch(context.Background()); ok {
+	if _, ok := NewClient(srv.URL + "/sparql").Epoch(context.Background()); ok {
 		t.Fatal("Epoch reported known for a dead server")
 	}
 }

@@ -99,8 +99,10 @@ func statusForCode(code string) int {
 	return http.StatusInternalServerError
 }
 
-// codeForError classifies an Endpoint.Query failure into a wire code.
+// codeForError classifies a request failure into a wire code: the
+// typed Endpoint.Query errors, and request bodies over their limit.
 func codeForError(err error) string {
+	var mbe *http.MaxBytesError
 	switch {
 	case errors.Is(err, ErrTimeout):
 		return CodeTimeout
@@ -108,8 +110,20 @@ func codeForError(err error) string {
 		return CodeRejected
 	case errors.Is(err, ErrParse):
 		return CodeParse
+	case errors.As(err, &mbe):
+		return CodeTooLarge
 	}
 	return CodeInternal
+}
+
+// WriteError answers a failed request in the one error convention of
+// the serving surfaces: the code and status follow from err (parse 400,
+// timeout 503, rejected 429, too_large 413, anything else internal
+// 500), sent as the JSON envelope to callers that accept JSON and as
+// plain text otherwise. Handler, AddHandler and the Sapphire web API
+// all answer their failures through it.
+func WriteError(w http.ResponseWriter, r *http.Request, err error) {
+	writeError(w, r, codeForError(err), err.Error())
 }
 
 // acceptsJSON reports whether the request opted into the JSON error

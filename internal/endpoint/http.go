@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,7 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"sapphire/internal/rdf"
 	"sapphire/internal/sparql"
@@ -80,16 +80,18 @@ func fromJSONTerm(jt jsonTerm) (rdf.Term, error) {
 }
 
 // EpochHeader carries the endpoint's mutation epoch on every query
-// response from an Epoched endpoint; the /epoch route (and the legacy
-// GET ?epoch probe) reads it without running a query. Federated callers
-// use the epoch to invalidate their caches only when a member's data
-// actually changed.
+// response from an Epoched endpoint; NewMux's /epoch route reads it
+// without running a query. Federated callers use the epoch to
+// invalidate their caches only when a member's data actually changed.
 const EpochHeader = "X-Sapphire-Epoch"
 
 // MaxQueryBytes bounds the request body Handler accepts for a query.
 // Bodies over the limit are refused with 413 / code "too_large" — never
 // silently truncated into a different (possibly valid!) query.
 const MaxQueryBytes = 1 << 20
+
+// errMissingQuery answers a request that carried no query text.
+var errMissingQuery = fmt.Errorf("%w: missing query", ErrParse)
 
 // Handler exposes an Endpoint over HTTP with the SPARQL-protocol query
 // semantics of the /sparql route: GET with ?query=, POST with an
@@ -98,61 +100,50 @@ const MaxQueryBytes = 1 << 20
 // query text too, for compatibility). Bodies over MaxQueryBytes are
 // refused with 413.
 //
-// Errors map to HTTP statuses — parse 400, timeout 503, rejection 429 —
-// and requests that accept JSON get the structured error envelope (see
-// the code set in errors.go) instead of a plain-text body.
+// Errors answer through WriteError: parse 400, timeout 503, rejection
+// 429, too_large 413, anything else 500, and requests that accept JSON
+// get the structured error envelope (see the code set in errors.go)
+// instead of a plain-text body.
 //
-// Two extensions carry the mutation epoch of Epoched endpoints across
-// the wire: every query response bears the EpochHeader (the epoch read
-// before evaluation, so a cached downstream entry keyed by it can never
-// claim data newer than it serves), and `GET ?epoch` with no query
-// returns the current epoch as a decimal body — the legacy form of the
-// probe that NewMux's /epoch route serves; both stay answered.
-// Non-Epoched endpoints answer the probe with 404.
+// Every query response from an Epoched endpoint bears the EpochHeader:
+// the epoch read before evaluation, so a cached downstream entry keyed
+// by it can never claim data newer than it serves. The epoch probe
+// itself is NewMux's /epoch route.
 func Handler(ep Endpoint) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var query string
 		switch r.Method {
 		case http.MethodGet:
 			query = r.URL.Query().Get("query")
-			if query == "" && r.URL.Query().Has("epoch") {
-				serveEpoch(w, r, ep)
-				return
-			}
 		case http.MethodPost:
-			// MaxBytesReader rather than a silent LimitReader: a query
-			// cut at a byte boundary can still parse — as a different
-			// query. Over-limit bodies must fail loudly.
-			r.Body = http.MaxBytesReader(w, r.Body, MaxQueryBytes)
-			ct := r.Header.Get("Content-Type")
-			if strings.HasPrefix(ct, "application/x-www-form-urlencoded") {
+			if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-www-form-urlencoded") {
+				r.Body = http.MaxBytesReader(w, r.Body, MaxQueryBytes)
 				if err := r.ParseForm(); err != nil {
-					writeError(w, r, bodyErrCode(err), err.Error())
+					WriteError(w, r, bodyError(err))
 					return
 				}
 				query = r.PostForm.Get("query")
 			} else {
 				// application/sparql-query is the SPARQL-protocol direct
 				// POST; unknown content types read the same way.
-				body, err := io.ReadAll(r.Body)
-				if err != nil {
-					writeError(w, r, bodyErrCode(err), err.Error())
+				var err error
+				if query, err = ReadQuery(w, r); err != nil {
+					WriteError(w, r, err)
 					return
 				}
-				query = string(body)
 			}
 		default:
 			writeError(w, r, CodeMethod, "method not allowed; GET ?query= or POST a query")
 			return
 		}
 		if strings.TrimSpace(query) == "" {
-			writeError(w, r, CodeParse, "missing query")
+			WriteError(w, r, errMissingQuery)
 			return
 		}
 		// The per-query header probe is skipped for endpoints whose
 		// Epoch is itself a network round trip (a Handler proxying a
 		// Client would otherwise double upstream traffic); the explicit
-		// /epoch and GET ?epoch probes still forward for them.
+		// /epoch probe still forwards for them.
 		var epoch uint64
 		epochKnown := false
 		if _, remote := ep.(remoteEpoched); !remote {
@@ -160,7 +151,7 @@ func Handler(ep Endpoint) http.Handler {
 		}
 		res, err := ep.Query(r.Context(), query)
 		if err != nil {
-			writeError(w, r, codeForError(err), err.Error())
+			WriteError(w, r, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/sparql-results+json")
@@ -171,19 +162,36 @@ func Handler(ep Endpoint) http.Handler {
 	})
 }
 
-// bodyErrCode classifies a request-body read/parse failure: over-limit
-// bodies are too_large, everything else is a parse-level caller error.
-func bodyErrCode(err error) string {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return CodeTooLarge
+// ReadQuery reads the query text of a raw POST body. A body over
+// MaxQueryBytes fails with its *http.MaxBytesError (code too_large)
+// instead of being cut at a byte boundary into a different — possibly
+// valid — query; a blank body or any other read failure is ErrParse.
+// Handler and the Sapphire web API read their bodies through it and
+// answer its errors with WriteError.
+func ReadQuery(w http.ResponseWriter, r *http.Request) (string, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxQueryBytes))
+	if err != nil {
+		return "", bodyError(err)
 	}
-	return CodeParse
+	if len(bytes.TrimSpace(body)) == 0 {
+		return "", errMissingQuery
+	}
+	return string(body), nil
 }
 
-// serveEpoch answers an epoch probe (the /epoch route and the legacy
-// GET ?epoch form): the decimal epoch as text/plain, or 404 when the
-// endpoint does not report epochs.
+// bodyError classifies a request-body read or parse failure: over-limit
+// bodies keep their *http.MaxBytesError (too_large), everything else is
+// a parse-level caller error.
+func bodyError(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrParse, err)
+}
+
+// serveEpoch answers the /epoch probe: the decimal epoch as
+// text/plain, or 404 when the endpoint does not report epochs.
 func serveEpoch(w http.ResponseWriter, r *http.Request, ep Endpoint) {
 	if e, ok := epochOf(r.Context(), ep); ok {
 		w.Header().Set("Content-Type", "text/plain")
@@ -214,17 +222,7 @@ type Client struct {
 	client    *http.Client
 	retrier   *retrier
 	userAgent string
-	// epochMode remembers which epoch probe form the server answered
-	// last (see Client.Epoch): 0 unknown, 1 the routed /epoch sibling,
-	// 2 the legacy GET ?epoch query parameter.
-	epochMode atomic.Int32
 }
-
-const (
-	epochModeUnknown = iota
-	epochModeRouted
-	epochModeLegacy
-)
 
 // NewClient returns a client for the endpoint at rawURL, configured by
 // functional options. With no options it uses the default RetryPolicy:
@@ -245,74 +243,16 @@ func NewClient(rawURL string, opts ...Option) *Client {
 	return c
 }
 
-// NewClientWithPolicy returns a client with an explicit RetryPolicy.
-//
-// Deprecated: use NewClient(rawURL, WithRetryPolicy(p)).
-func NewClientWithPolicy(rawURL string, p RetryPolicy) *Client {
-	return NewClient(rawURL, WithRetryPolicy(p))
-}
-
 // Name implements Endpoint.
 func (c *Client) Name() string { return c.url }
 
-// Epoch implements Epoched by probing the server: first the routed
-// /epoch sibling of the query URL (see NewMux), then the legacy
-// `GET ?epoch` query-parameter form that plain Handler servers answer.
-// Whichever form succeeds is remembered and tried first on subsequent
-// probes, so steady-state traffic pays one request per probe against
-// both new and old servers. ok is false when the server is unreachable,
-// predates the epoch protocol entirely, or wraps a non-Epoched endpoint
-// — callers then fall back to manual cache invalidation.
+// Epoch implements Epoched by probing the /epoch sibling of the query
+// URL (see NewMux and routedEpochURL) under the per-attempt timeout.
+// The probe never retries: ok is false when the server is unreachable,
+// serves no /epoch route, or wraps a non-Epoched endpoint, and callers
+// then fall back to manual cache invalidation.
 func (c *Client) Epoch(ctx context.Context) (uint64, bool) {
-	probes := [2]struct {
-		mode int32
-		url  string
-	}{
-		{epochModeRouted, c.routedEpochURL()},
-		{epochModeLegacy, c.legacyEpochURL()},
-	}
-	if c.epochMode.Load() == epochModeLegacy {
-		probes[0], probes[1] = probes[1], probes[0]
-	}
-	for _, p := range probes {
-		if e, ok := c.probeEpochURL(ctx, p.url); ok {
-			c.epochMode.Store(p.mode)
-			return e, true
-		}
-	}
-	return 0, false
-}
-
-// routedEpochURL derives the /epoch sibling of the query URL: the last
-// path segment (conventionally "sparql") is replaced by "epoch", so
-// http://host:8890/sparql probes http://host:8890/epoch.
-func (c *Client) routedEpochURL() string {
-	u, err := url.Parse(c.url)
-	if err != nil {
-		return ""
-	}
-	path := u.Path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		path = path[:i]
-	}
-	u.Path = path + "/epoch"
-	u.RawQuery = ""
-	return u.String()
-}
-
-// legacyEpochURL is the pre-mux probe form: the query URL itself with
-// an `epoch` query parameter.
-func (c *Client) legacyEpochURL() string {
-	if strings.Contains(c.url, "?") {
-		return c.url + "&epoch"
-	}
-	return c.url + "?epoch"
-}
-
-// probeEpochURL runs one epoch probe under the per-attempt timeout. The
-// probe's failure mode (ok=false) already has a graceful fallback, so
-// it never retries.
-func (c *Client) probeEpochURL(ctx context.Context, u string) (uint64, bool) {
+	u := c.routedEpochURL()
 	if u == "" {
 		return 0, false
 	}
@@ -340,6 +280,23 @@ func (c *Client) probeEpochURL(ctx context.Context, u string) (uint64, bool) {
 		return 0, false
 	}
 	return e, true
+}
+
+// routedEpochURL derives the /epoch sibling of the query URL: the last
+// path segment (conventionally "sparql") is replaced by "epoch", so
+// http://host:8890/sparql probes http://host:8890/epoch.
+func (c *Client) routedEpochURL() string {
+	u, err := url.Parse(c.url)
+	if err != nil {
+		return ""
+	}
+	path := u.Path
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		path = path[:i]
+	}
+	u.Path = path + "/epoch"
+	u.RawQuery = ""
+	return u.String()
 }
 
 func (c *Client) setCommonHeaders(req *http.Request) {

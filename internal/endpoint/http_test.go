@@ -292,8 +292,8 @@ func TestClientMapsEnvelopeCodes(t *testing.T) {
 }
 
 // TestMuxRoutes pins the routed serving surface: /sparql serves
-// queries, /epoch the decimal epoch, /healthz liveness — and the legacy
-// GET /sparql?epoch probe still answers.
+// queries, /epoch the decimal epoch, /healthz liveness — and the
+// removed GET /sparql?epoch probe form is a missing query, not an epoch.
 func TestMuxRoutes(t *testing.T) {
 	st := testStore(t, 4)
 	local := NewLocal("muxed", st, Limits{})
@@ -310,21 +310,27 @@ func TestMuxRoutes(t *testing.T) {
 		t.Fatalf("/sparql status = %d", resp.StatusCode)
 	}
 
-	// /epoch and the legacy probe agree.
+	// /epoch
 	wantEpoch, _ := local.Epoch(context.Background())
-	for _, path := range []string{"/epoch", "/sparql?epoch"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
-		}
-		if got := strings.TrimSpace(string(body)); got != fmt.Sprint(wantEpoch) {
-			t.Errorf("%s = %q, want %d", path, got, wantEpoch)
-		}
+	resp, err = http.Get(srv.URL + "/epoch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("/epoch status = %d", resp.StatusCode)
+	}
+	if got := strings.TrimSpace(string(body)); got != fmt.Sprint(wantEpoch) {
+		t.Errorf("/epoch = %q, want %d", got, wantEpoch)
+	}
+	resp, err = http.Get(srv.URL + "/sparql?epoch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("GET /sparql?epoch status = %d, want 400 (missing query)", resp.StatusCode)
 	}
 
 	// /healthz
@@ -377,10 +383,9 @@ func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.inner.ServeHTTP(w, r)
 }
 
-// TestClientEpochPrefersRoute pins Client.Epoch's probe order: against
-// a muxed server it uses /epoch (and remembers that), against a bare
-// Handler it falls back to the legacy ?epoch form — and remembers that
-// too, so steady-state probing pays one request either way.
+// TestClientEpochPrefersRoute pins Client.Epoch's probe: against a
+// muxed server it pays exactly one /epoch request per probe and never
+// uses the removed ?epoch query form.
 func TestClientEpochPrefersRoute(t *testing.T) {
 	st := testStore(t, 2)
 	local := NewLocal("local", st, Limits{})
@@ -399,31 +404,11 @@ func TestClientEpochPrefersRoute(t *testing.T) {
 			t.Errorf("probes: routed=%d legacy=%d, want 3/0", counter.epochs, counter.legacy)
 		}
 	})
-
-	t.Run("legacy-fallback", func(t *testing.T) {
-		// Handler only (no mux): /epoch is 404, ?epoch works.
-		mux := http.NewServeMux()
-		mux.Handle("/sparql", Handler(local))
-		counter := &countingHandler{inner: mux}
-		srv := httptest.NewServer(counter)
-		defer srv.Close()
-		client := NewClient(srv.URL + "/sparql")
-		for i := 0; i < 3; i++ {
-			if _, ok := client.Epoch(context.Background()); !ok {
-				t.Fatal("Epoch failed against legacy server")
-			}
-		}
-		// First call probes /epoch once, fails, falls back; later calls
-		// go straight to the legacy form.
-		if counter.epochs != 1 || counter.legacy != 3 {
-			t.Errorf("probes: routed=%d legacy=%d, want 1/3", counter.epochs, counter.legacy)
-		}
-	})
 }
 
-// TestClientOptions pins the functional options: the deprecated
-// constructor still works, WithHTTPClient routes traffic through the
-// injected client, and WithUserAgent tags requests.
+// TestClientOptions pins the functional options: WithRetryPolicy
+// selects the policy (the last one wins), WithHTTPClient routes traffic
+// through the injected client, and WithUserAgent tags requests.
 func TestClientOptions(t *testing.T) {
 	var gotUA string
 	local := NewLocal("local", testStore(t, 1), Limits{})
@@ -452,10 +437,11 @@ func TestClientOptions(t *testing.T) {
 		t.Errorf("attempts = %d, want 2", client.retrier.policy.attempts())
 	}
 
-	// Deprecated wrapper still selects the policy.
-	old := NewClientWithPolicy(srv.URL+"/sparql", RetryPolicy{MaxAttempts: 7})
-	if old.retrier.policy.attempts() != 7 {
-		t.Errorf("NewClientWithPolicy attempts = %d, want 7", old.retrier.policy.attempts())
+	// Options apply in order: a later policy overrides an earlier one.
+	later := NewClient(srv.URL+"/sparql",
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 2}), WithRetryPolicy(RetryPolicy{MaxAttempts: 7}))
+	if later.retrier.policy.attempts() != 7 {
+		t.Errorf("later WithRetryPolicy attempts = %d, want 7", later.retrier.policy.attempts())
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 //	/sparql   the SPARQL protocol route (Handler): GET ?query=, form
 //	          POST, raw application/sparql-query POST
 //	/epoch    the endpoint's mutation epoch as a decimal text body
-//	          (404 for non-Epoched endpoints); supersedes the legacy
-//	          `GET /sparql?epoch` probe, which Handler keeps answering
+//	          (404 for non-Epoched endpoints); the one epoch probe,
+//	          which Client.Epoch calls
 //	/healthz  liveness: {"status":"ok",...} as soon as the process
 //	          serves, with the endpoint name and current epoch if known
 //
@@ -76,7 +76,7 @@ func AddHandler(db TripleBatcher) http.HandlerFunc {
 				break
 			}
 			if err != nil {
-				writeError(w, r, bodyErrCode(err), err.Error())
+				WriteError(w, r, bodyError(err))
 				return
 			}
 			triples = append(triples, tr)

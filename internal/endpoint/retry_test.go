@@ -39,7 +39,7 @@ func flakyHTTP(failN int64, failCode int) (*httptest.Server, *atomic.Int64) {
 func TestClientRetriesTransient5xx(t *testing.T) {
 	srv, calls := flakyHTTP(2, http.StatusInternalServerError)
 	defer srv.Close()
-	res, err := NewClientWithPolicy(srv.URL, fastRetry).Query(context.Background(), "SELECT * WHERE { ?x ?y ?z }")
+	res, err := NewClient(srv.URL, WithRetryPolicy(fastRetry)).Query(context.Background(), "SELECT * WHERE { ?x ?y ?z }")
 	if err != nil {
 		t.Fatalf("query failed despite retries: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 func TestClientRetries503(t *testing.T) {
 	srv, calls := flakyHTTP(1, http.StatusServiceUnavailable)
 	defer srv.Close()
-	if _, err := NewClientWithPolicy(srv.URL, fastRetry).Query(context.Background(), "q"); err != nil {
+	if _, err := NewClient(srv.URL, WithRetryPolicy(fastRetry)).Query(context.Background(), "q"); err != nil {
 		t.Fatalf("query failed despite retries: %v", err)
 	}
 	if calls.Load() != 2 {
@@ -62,7 +62,7 @@ func TestClientRetries503(t *testing.T) {
 func TestClientExhaustsAttempts(t *testing.T) {
 	srv, calls := flakyHTTP(1<<30, http.StatusServiceUnavailable)
 	defer srv.Close()
-	_, err := NewClientWithPolicy(srv.URL, fastRetry).Query(context.Background(), "q")
+	_, err := NewClient(srv.URL, WithRetryPolicy(fastRetry)).Query(context.Background(), "q")
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout after exhausting attempts, got %v", err)
 	}
@@ -74,7 +74,7 @@ func TestClientExhaustsAttempts(t *testing.T) {
 func TestClientNeverRetriesRejection(t *testing.T) {
 	srv, calls := flakyHTTP(1<<30, http.StatusTooManyRequests)
 	defer srv.Close()
-	_, err := NewClientWithPolicy(srv.URL, fastRetry).Query(context.Background(), "q")
+	_, err := NewClient(srv.URL, WithRetryPolicy(fastRetry)).Query(context.Background(), "q")
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("want ErrRejected, got %v", err)
 	}
@@ -86,7 +86,7 @@ func TestClientNeverRetriesRejection(t *testing.T) {
 func TestClientNeverRetries4xx(t *testing.T) {
 	srv, calls := flakyHTTP(1<<30, http.StatusBadRequest)
 	defer srv.Close()
-	if _, err := NewClientWithPolicy(srv.URL, fastRetry).Query(context.Background(), "q"); err == nil {
+	if _, err := NewClient(srv.URL, WithRetryPolicy(fastRetry)).Query(context.Background(), "q"); err == nil {
 		t.Fatal("want error on 400")
 	}
 	if calls.Load() != 1 {
@@ -101,7 +101,7 @@ func TestClientRetriesConnectionError(t *testing.T) {
 	u := srv.URL
 	srv.Close()
 	start := time.Now()
-	_, err := NewClientWithPolicy(u, fastRetry).Query(context.Background(), "q")
+	_, err := NewClient(u, WithRetryPolicy(fastRetry)).Query(context.Background(), "q")
 	if err == nil {
 		t.Fatal("want transport error")
 	}
@@ -127,7 +127,7 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 	defer close(release)
 	p := fastRetry
 	p.PerAttempt = 50 * time.Millisecond
-	res, err := NewClientWithPolicy(srv.URL, p).Query(context.Background(), "q")
+	res, err := NewClient(srv.URL, WithRetryPolicy(p)).Query(context.Background(), "q")
 	if err != nil {
 		t.Fatalf("second attempt should have rescued the query: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestClientParentContextStopsRetries(t *testing.T) {
 	p.MaxDelay = 20 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := NewClientWithPolicy(srv.URL, p).Query(ctx, "q")
+	_, err := NewClient(srv.URL, WithRetryPolicy(p)).Query(ctx, "q")
 	if err == nil {
 		t.Fatal("want error after context deadline")
 	}
@@ -163,7 +163,7 @@ func TestClientAgainstFlakyEndpoint(t *testing.T) {
 	flaky := NewFlaky(NewLocal("local", s, Limits{}), 2, 0, 1)
 	srv := httptest.NewServer(Handler(flaky))
 	defer srv.Close()
-	client := NewClientWithPolicy(srv.URL, fastRetry)
+	client := NewClient(srv.URL, WithRetryPolicy(fastRetry))
 	for i := 0; i < 10; i++ {
 		res, err := client.Query(context.Background(), "SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }")
 		if err != nil {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"sapphire/internal/endpoint"
@@ -169,15 +171,15 @@ func TestEpochDrivenInvalidation(t *testing.T) {
 
 // TestEpochInvalidationOverHTTP runs the same story with the member
 // behind a real HTTP server: the federation's freshness check rides the
-// `GET ?epoch` probe and the member's mutation is observed remotely.
+// `GET /epoch` probe and the member's mutation is observed remotely.
 func TestEpochInvalidationOverHTTP(t *testing.T) {
 	st := store.New()
 	st.MustAdd(rdf.NewTriple(rdf.NewIRI("http://x/c1"),
 		rdf.NewIRI("http://x/cityName"), rdf.NewLangLiteral("Springfield", "en")))
-	srv := httptest.NewServer(endpoint.Handler(endpoint.NewLocal("remote", st, endpoint.Limits{})))
+	srv := httptest.NewServer(endpoint.NewMux(endpoint.NewLocal("remote", st, endpoint.Limits{})))
 	defer srv.Close()
 
-	fed := New(endpoint.NewClient(srv.URL))
+	fed := New(endpoint.NewClient(srv.URL + "/sparql"))
 	ctx := context.Background()
 	q := `SELECT ?cn WHERE { ?c <http://x/cityName> ?cn . }`
 	res, err := fed.Query(ctx, q)
@@ -230,7 +232,7 @@ func TestEpochPollDisabled(t *testing.T) {
 
 // flakyEpoch wraps an endpoint and makes its epoch probe fail on
 // demand, simulating a member whose data is fine but whose `GET
-// ?epoch` times out.
+// /epoch` times out.
 type flakyEpoch struct {
 	*endpoint.Local
 	fail bool
@@ -440,5 +442,47 @@ func TestJoinThroughLiteralVariable(t *testing.T) {
 				t.Errorf("%s: %s:\n got %s\nwant %s", name, qs, g, w)
 			}
 		}
+	}
+}
+
+// servedFederation names a federation so it can serve as an Endpoint.
+type servedFederation struct{ *Federation }
+
+func (servedFederation) Name() string { return "federation" }
+
+// countingTransport counts the requests an http.Client sends.
+type countingTransport struct{ calls int }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.calls++
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestParseErrorOverHTTP: a query that does not parse is the caller's
+// error at every hop. The federation served over NewMux answers it 400
+// "parse", and endpoint.Client, which retries 5xx, sends it only once.
+func TestParseErrorOverHTTP(t *testing.T) {
+	fed, _, _ := twoEndpoints(t)
+	srv := httptest.NewServer(endpoint.NewMux(servedFederation{fed}))
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/sparql", "application/sparql-query", strings.NewReader("garbage"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /sparql garbage = %d, want 400", resp.StatusCode)
+	}
+
+	rt := &countingTransport{}
+	client := endpoint.NewClient(srv.URL+"/sparql", endpoint.WithHTTPClient(&http.Client{Transport: rt}))
+	_, err = client.Query(context.Background(), "garbage")
+	var ae *endpoint.APIError
+	if !errors.As(err, &ae) || ae.Code != endpoint.CodeParse || !errors.Is(err, endpoint.ErrParse) {
+		t.Errorf("Client.Query(garbage) err = %v, want the %q code", err, endpoint.CodeParse)
+	}
+	if rt.calls != 1 {
+		t.Errorf("Client sent %d requests for an unparsable query, want 1", rt.calls)
 	}
 }

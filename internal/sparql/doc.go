@@ -26,23 +26,25 @@
 // Rows stay dictionary IDs end to end; terms materialize only when rows
 // leave the pipeline (or inside filter and order-key evaluation).
 //
-// All graphs run the same pipeline. An IDGraph (the in-memory store)
-// scans in ID space directly; a plain Graph's term-level matches are
-// interned into a query-local dictionary, so joins and DISTINCT still
-// compare integers. Implementations of IDGraph must follow the store's
-// ID contract:
+// All graphs run the same pipeline, from one of exactly two sources. An
+// IDGraph (the in-memory store) is the fast path: scans run in ID space
+// directly. A plain Graph's term-level matches are interned into a
+// query-local dictionary, so joins and DISTINCT still compare integers.
+// Implementations of IDGraph must follow the store's ID contract:
 //
 //   - The zero ID is the wildcard, mirroring the zero-Term convention
 //     of Match; no term ever has ID 0.
 //   - IDs are dense and append-only for the life of the graph, so
 //     solution rows can carry raw IDs between operators.
-//   - The depth-first join issues the next level's scan from inside the
-//     current level's MatchIDs callback. A ReentrantGraph (the store)
-//     declares this safe by exposing PinRead/MatchIDsPinned: the
-//     pipeline pins the read locks once per evaluation and scans
-//     lock-free. A plain IDGraph must tolerate nested MatchIDs calls
-//     outright. ResolveID is documented lock-free either way, so terms
-//     can materialize mid-iteration.
+//   - Every evaluation pins the graph once with PinRead and scans only
+//     through MatchIDsPinned and ScanMorselsPinned until it releases
+//     the pin. The depth-first join issues the next level's scan from
+//     inside the current level's callback, and parallel workers scan
+//     concurrently, so the pinned scans must take no locks and must be
+//     reentrant. Lookup (dictionary locks) and ResolveID (lock-free)
+//     stay callable while pinned, so terms can materialize mid-scan.
+//   - ScanMorselsPinned emits exactly the MatchIDsPinned order, cut
+//     into batches the callee may retain.
 //
 // Remote endpoints and federations implement only Graph and take the
 // localDict path transparently.

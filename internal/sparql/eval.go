@@ -21,23 +21,42 @@ type Graph interface {
 	CardinalityEstimate(s, p, o rdf.Term) int
 }
 
-// IDGraph is an optional Graph extension for dictionary-encoded stores.
-// When the graph implements it, the evaluator joins over dense uint32
-// term IDs — integer map probes instead of 4-field struct hashing — and
-// resolves IDs back to terms only when rows leave the pipeline. The zero
-// ID is the wildcard, mirroring the zero-Term convention of Match. The
-// in-memory store implements this; remote and federated graphs take the
+// IDGraph is the store fast path: a dictionary-encoded Graph (the
+// in-memory store) that the evaluator scans in ID space, joining over
+// dense uint32 term IDs — integer map probes instead of 4-field struct
+// hashing — and resolving IDs back to terms only when rows leave the
+// pipeline. Every evaluation pins the graph's read locks once and scans
+// through the pinned methods throughout; see doc.go for the ID
+// contract. Graphs without it (remote endpoints, federations) take the
 // Term-level path through a query-local dictionary instead.
 type IDGraph interface {
 	Graph
 	// Lookup returns the dictionary ID of a term, or false if the term
-	// does not occur in the graph.
+	// does not occur in the graph. It takes dictionary locks, not the
+	// pinned read locks, so it stays callable while pinned.
 	Lookup(t rdf.Term) (uint32, bool)
 	// ResolveID returns the term for an ID (zero Term for unknown IDs).
+	// It is lock-free, so terms can materialize mid-scan.
 	ResolveID(id uint32) rdf.Term
-	// MatchIDs streams matching triples as ID tuples; zero IDs are
-	// wildcards. Iteration stops early if fn returns false.
-	MatchIDs(s, p, o uint32, fn func(s, p, o uint32) bool)
+	// PinRead acquires the graph's read locks until release is called.
+	PinRead() (release func())
+	// MatchIDsPinned streams matching triples as ID tuples under a
+	// PinRead session; zero IDs are wildcards. It takes no locks and may
+	// be called from inside its own callbacks. Iteration stops early if
+	// fn returns false.
+	MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool)
+	// ScanMorselsPinned streams the same matches in MatchIDsPinned order,
+	// batched into morsels of up to size triples, under a PinRead
+	// session. Each batch is the callee's to retain.
+	ScanMorselsPinned(s, p, o uint32, size int, fn func(batch [][3]uint32) bool)
+	// OrderLabels reports per-ID order labels: label order equals term
+	// order for labeled IDs, 0 means unlabeled. exact reports whether
+	// label order equals the evaluator's ORDER BY comparator order for
+	// every pair of terms in the graph — false as soon as any literal
+	// parses as a number, since SPARQL orders those by numeric value.
+	// The top-k ORDER BY operator compares labels instead of terms when
+	// exact is true, resolving terms only for the k surviving rows.
+	OrderLabels() (label func(id uint32) uint64, exact bool)
 }
 
 // Binding maps variable names to terms for one solution row.
@@ -84,8 +103,8 @@ type Options struct {
 	// goroutines that execute the join chain over morsels of the
 	// driving scan (see parallel.go). 0 selects the process default
 	// (SetDefaultWorkers, itself 1 unless a -parallel flag raised it);
-	// values <= 1 evaluate serially. Parallel evaluation requires a
-	// ReentrantGraph (the in-memory store) and produces byte-identical
+	// values <= 1 evaluate serially. Parallel evaluation requires an
+	// IDGraph (the in-memory store) and produces byte-identical
 	// results to serial evaluation, row order included.
 	Workers int
 

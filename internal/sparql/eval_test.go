@@ -10,6 +10,11 @@ import (
 	"sapphire/internal/store"
 )
 
+// The store must satisfy the fast-path interface exactly: a signature
+// drift would otherwise quietly drop every store evaluation onto the
+// Term-level localDict path, still correct but several times slower.
+var _ IDGraph = (*store.Store)(nil)
+
 // buildLibrary builds the Jack Kerouac example graph from Figure 6 of the
 // paper plus a few extra entities to exercise joins and aggregates.
 func buildLibrary(t testing.TB) *store.Store {

@@ -7,36 +7,6 @@ import (
 	"sapphire/internal/rdf"
 )
 
-// ReentrantGraph is an optional IDGraph extension for stores whose
-// MatchIDs callbacks run under the store's own read locks and therefore
-// must not re-enter the graph. The streaming pipeline's depth-first join
-// issues the next level's scan from inside the current level's callback,
-// so for such stores it pins the read locks once for the whole
-// evaluation and scans through the pinned variant throughout. Lock-free
-// methods (ResolveID) and independently locked ones (Lookup, which takes
-// dictionary locks, not store shard locks) remain callable while pinned.
-type ReentrantGraph interface {
-	IDGraph
-	// PinRead acquires the graph's read locks until release is called.
-	PinRead() (release func())
-	// MatchIDsPinned is MatchIDs under a PinRead session: it takes no
-	// locks and may be called from inside its own callbacks.
-	MatchIDsPinned(s, p, o uint32, fn func(s, p, o uint32) bool)
-}
-
-// OrderedGraph is an optional IDGraph extension for stores that maintain
-// per-ID order labels (the store's rank table): label order equals term
-// order for labeled IDs, 0 means unlabeled. exact reports whether label
-// order equals the evaluator's ORDER BY comparator order for every pair
-// of terms in the graph — false as soon as any literal parses as a
-// number, since SPARQL orders those by numeric value, not term order.
-// The top-k ORDER BY operator compares labels instead of terms when
-// exact is true, resolving terms only for the k surviving rows.
-type OrderedGraph interface {
-	IDGraph
-	OrderLabels() (label func(id uint32) uint64, exact bool)
-}
-
 // sink is one operator of the streaming pipeline. Rows are uint32 ID
 // slices indexed by the plan's slot table, with 0 = unbound. A pushed
 // row is borrowed: it is only valid for the duration of the call, so
@@ -51,13 +21,12 @@ type sink interface {
 
 // exec is the shared state of one pipeline execution.
 type exec struct {
-	pl       *plan
-	g        Graph
-	ig       IDGraph                                            // non-nil: ID-level scans
-	matchIDs func(s, p, o uint32, fn func(s, p, o uint32) bool) // MatchIDsPinned when pinned, else MatchIDs
-	ld       *localDict                                         // non-nil: Term-level scans with query-local interning
-	budget   Budget
-	err      error
+	pl     *plan
+	g      Graph
+	ig     IDGraph    // non-nil: ID-level scans through the evaluation's pin
+	ld     *localDict // non-nil: Term-level scans with query-local interning
+	budget Budget
+	err    error
 
 	fb Binding // reusable scratch for filter evaluation
 }
@@ -167,7 +136,7 @@ func (x *exec) scanPattern(cp compiledPattern, row []uint32, yield func(ms, mp, 
 		if !cp.ok {
 			return true
 		}
-		x.matchIDs(cp.s.value(row), cp.p.value(row), cp.o.value(row), func(ms, mp, mo uint32) bool {
+		x.ig.MatchIDsPinned(cp.s.value(row), cp.p.value(row), cp.o.value(row), func(ms, mp, mo uint32) bool {
 			if !x.tick() || !yield(ms, mp, mo) {
 				stopped = true
 				return false
@@ -698,7 +667,7 @@ type tailSpec struct {
 // queries collect full rows directly (their modifiers apply after
 // grouping).
 func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, tailSpec) {
-	q, pl, g := x.pl.q, x.pl, x.g
+	q, pl := x.pl.q, x.pl
 	projSlots := make([]int, len(projVars))
 	identity := len(projVars) == pl.width()
 	for i, v := range projVars {
@@ -740,8 +709,8 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, t
 			if s, ok := pl.slots[q.OrderBy[0].Var]; ok {
 				op.keySlot = s
 			}
-			if og, ok := g.(OrderedGraph); ok {
-				if label, exact := og.OrderLabels(); exact {
+			if x.ig != nil {
+				if label, exact := x.ig.OrderLabels(); exact {
 					op.label = label // may be nil: term fallback per item
 				}
 			}
@@ -806,6 +775,26 @@ func (x *exec) levelFilterStages() []*filterStage {
 	return lf
 }
 
+// scanJoin drives the scan/join stage into tail: morsel-parallel when
+// parallel is set and the plan's shape allows it, the serial DFS over
+// each pattern group otherwise.
+func (x *exec) scanJoin(tail sink, parallel bool, workers int, spec tailSpec) {
+	if parallel {
+		if pr := newParallelRun(x, workers, spec); pr != nil {
+			pr.run(tail)
+			return
+		}
+	}
+	chain := x.buildRowStages(tail)
+	lf := x.levelFilterStages()
+	row := make([]uint32, x.pl.width())
+	for _, grp := range x.pl.groups {
+		if !x.runSeq(x.compile(grp), lf, 0, row, chain) {
+			return
+		}
+	}
+}
+
 // runPlan assembles the operator chain for the plan and drives it:
 //
 //	scan/join (DFS, level filters inline)
@@ -817,7 +806,7 @@ func (x *exec) levelFilterStages() []*filterStage {
 // Aggregate queries collect full rows instead of the modifier tail and
 // reuse the grouped-aggregation code path unchanged.
 //
-// With opts.Workers > 1 and a ReentrantGraph, the scan/join stage runs
+// With opts.Workers > 1 and an IDGraph, the scan/join stage runs
 // morsel-parallel (see parallel.go): workers execute the per-row stages
 // over morsels of the driving scan and the coordinator feeds the
 // modifier tail in morsel order, so the output is byte-identical to the
@@ -849,43 +838,26 @@ func runPlan(g Graph, pl *plan, opts Options) (*Results, error) {
 	}
 
 	workers := resolveWorkers(opts.Workers)
-	rg, reentrant := g.(ReentrantGraph)
-	parallel := workers > 1 && reentrant
+	ig, fast := g.(IDGraph)
+	parallel := workers > 1 && fast
 	budget := opts.budgetFor(parallel)
 
 	x := &exec{pl: pl, g: g, budget: budget}
-	if ig, ok := g.(IDGraph); ok {
+	if fast {
 		x.ig = ig
-		if reentrant {
-			release := rg.PinRead()
-			defer release()
-			x.matchIDs = rg.MatchIDsPinned
-		} else {
-			// Plain IDGraphs must tolerate nested MatchIDs calls.
-			x.matchIDs = ig.MatchIDs
-		}
+		release := ig.PinRead()
+		defer release()
 	} else {
 		x.ld = newLocalDict()
 	}
 
 	tail, collect, spec := buildTail(x, projVars, aggregates)
-
-	var pr *parallelRun
-	if parallel {
-		pr = newParallelRun(x, workers, spec) // nil: shape needs the serial path
-	}
-	if pr != nil {
-		pr.run(tail)
-	} else {
-		chain := x.buildRowStages(tail)
-		lf := x.levelFilterStages()
-		row := make([]uint32, pl.width())
-		for _, grp := range pl.groups {
-			if !x.runSeq(x.compile(grp), lf, 0, row, chain) {
-				break
-			}
-		}
-	}
+	// Compiling the patterns looks their constants up under the pin on
+	// purpose: every triple in the pinned state had its terms interned
+	// before the pin was taken, so a constant the dictionary lacks now
+	// matches nothing in what the scans will see.
+	//sapphire:allow pinlock IDGraph.Lookup takes dictionary-shard locks, a domain disjoint from the store-shard read locks the pin holds (writers release the dictionary lock before taking a shard lock), so it cannot form a cycle (internal/sparql/doc.go, docs/ARCHITECTURE.md "PinRead")
+	x.scanJoin(tail, parallel, workers, spec)
 	if x.err != nil {
 		return nil, x.err
 	}

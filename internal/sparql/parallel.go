@@ -40,46 +40,10 @@ import (
 // prefix of rows is exactly the prefix serial evaluation would have
 // produced.
 
-// MorselGraph is an optional ReentrantGraph extension for stores that
-// enumerate a pattern's matches pre-batched (the sharded store
-// implements it as ScanMorselsPinned). Like MatchIDsPinned it must be
-// called under PinRead and takes no locks; each batch must be safe for
-// the callee to retain. ReentrantGraphs without it get the same
-// batching generically, one MatchIDsPinned pass per driving scan.
-type MorselGraph interface {
-	ReentrantGraph
-	ScanMorselsPinned(s, p, o uint32, size int, fn func(batch [][3]uint32) bool)
-}
-
 // parallelMorselSize is the driving-scan batch size. A variable, not a
 // const, so tests can shrink it to force many-morsel schedules on small
 // fixtures; set only from single-threaded test setup.
 var parallelMorselSize = 1024
-
-// scanMorsels enumerates a driving scan in morsels, preferring the
-// graph's native batched scan.
-func scanMorsels(rg ReentrantGraph, s, p, o uint32, size int, fn func(batch [][3]uint32) bool) {
-	if mg, ok := rg.(MorselGraph); ok {
-		mg.ScanMorselsPinned(s, p, o, size, fn)
-		return
-	}
-	batch := make([][3]uint32, 0, size)
-	stopped := false
-	rg.MatchIDsPinned(s, p, o, func(a, b, c uint32) bool {
-		batch = append(batch, [3]uint32{a, b, c})
-		if len(batch) == size {
-			if !fn(batch) {
-				stopped = true
-				return false
-			}
-			batch = make([][3]uint32, 0, size)
-		}
-		return true
-	})
-	if !stopped && len(batch) > 0 {
-		fn(batch)
-	}
-}
 
 // serializedBudget wraps a Budget so concurrent workers can charge it;
 // the callback itself then needs no internal locking.
@@ -209,7 +173,6 @@ func (r *parallelRun) doAbort() {
 // into tail. On return all goroutines have exited (the caller releases
 // the pin right after), and any worker error is in r.x.err.
 func (r *parallelRun) run(tail sink) {
-	rg := r.x.g.(ReentrantGraph)
 	jobs := make(chan *morselJob)
 	// order carries every job a second time, in morsel order, to the
 	// merging loop below; its capacity bounds the morsels in flight.
@@ -226,7 +189,7 @@ func (r *parallelRun) run(tail sink) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r.enumerate(rg, jobs, order)
+		r.enumerate(jobs, order)
 	}()
 
 	// Merge: consume results in morsel order. After an abort keep
@@ -263,7 +226,7 @@ func (r *parallelRun) run(tail sink) {
 // worker channel first and the order channel second: the merge loop
 // only ever waits on jobs a worker is guaranteed to see, so an abort
 // between the two sends can orphan a job's result but never deadlock.
-func (r *parallelRun) enumerate(rg ReentrantGraph, jobs chan<- *morselJob, order chan<- *morselJob) {
+func (r *parallelRun) enumerate(jobs chan<- *morselJob, order chan<- *morselJob) {
 	defer close(order)
 	defer close(jobs)
 	zero := make([]uint32, r.x.pl.width())
@@ -273,7 +236,7 @@ func (r *parallelRun) enumerate(rg ReentrantGraph, jobs chan<- *morselJob, order
 			continue // a constant missing from the dictionary: no matches
 		}
 		s, p, o := g.cps[0].s.value(zero), g.cps[0].p.value(zero), g.cps[0].o.value(zero)
-		scanMorsels(rg, s, p, o, parallelMorselSize, func(batch [][3]uint32) bool {
+		r.x.ig.ScanMorselsPinned(s, p, o, parallelMorselSize, func(batch [][3]uint32) bool {
 			job := &morselJob{grp: gi, batch: batch, res: make(chan morselResult, 1)}
 			select {
 			case jobs <- job:
@@ -303,7 +266,7 @@ func (r *parallelRun) enumerate(rg ReentrantGraph, jobs chan<- *morselJob, order
 // scratch, OPTIONAL match flags, the morsel sink) is per-worker.
 func (r *parallelRun) workerLoop(jobs <-chan *morselJob) {
 	x := r.x
-	wx := &exec{pl: x.pl, g: x.g, ig: x.ig, matchIDs: x.matchIDs, budget: x.budget}
+	wx := &exec{pl: x.pl, g: x.g, ig: x.ig, budget: x.budget}
 	var ws workerSink
 	if r.spec.topK {
 		ws = &morselTopK{op: &topKOp{

@@ -75,7 +75,7 @@ func (g termOnlyGraph) CardinalityEstimate(s, p, o rdf.Term) int {
 }
 
 // TestParallelFallsBackToSerial: Workers > 1 on a graph without the
-// ReentrantGraph pin API must quietly evaluate serially and still be
+// IDGraph fast path must quietly evaluate serially and still be
 // correct — parallelism is an optimization, never a requirement the
 // graph has to meet.
 func TestParallelFallsBackToSerial(t *testing.T) {

@@ -7,15 +7,22 @@
 //	POST /suggest  (SPARQL body)   QSM suggestions
 //	POST /run      (SPARQL body)   answers + suggestions
 //	GET  /stats                    initialization statistics
+//
+// The POST routes read and fail the way the SPARQL endpoint does
+// (endpoint.ReadQuery, endpoint.WriteError): a body over
+// endpoint.MaxQueryBytes is refused 413 "too_large", never truncated;
+// failures answer parse 400, timeout 503, rejected 429, internal 500,
+// with the JSON error envelope for callers that accept JSON. Other
+// methods on them get 405.
 package webapi
 
 import (
+	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"strings"
 
 	"sapphire"
+	"sapphire/internal/endpoint"
 	"sapphire/internal/rdf"
 )
 
@@ -26,45 +33,30 @@ func Handler(client *sapphire.Client) http.Handler {
 		term := r.URL.Query().Get("term")
 		writeJSON(w, completionsJSON(client.Complete(term)))
 	})
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-		query, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		res, err := client.Query(r.Context(), query)
+	mux.HandleFunc("POST /query", postQuery(func(ctx context.Context, query string) (any, error) {
+		res, err := client.Query(ctx, query)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
-		writeJSON(w, ResultsJSON(res))
-	})
-	mux.HandleFunc("/suggest", func(w http.ResponseWriter, r *http.Request) {
-		query, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		sugs, err := client.Suggest(r.Context(), query)
+		return ResultsJSON(res), nil
+	}))
+	mux.HandleFunc("POST /suggest", postQuery(func(ctx context.Context, query string) (any, error) {
+		sugs, err := client.Suggest(ctx, query)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
-		writeJSON(w, SuggestionsJSON(sugs))
-	})
-	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
-		query, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		res, sugs, err := client.Run(r.Context(), query)
+		return SuggestionsJSON(sugs), nil
+	}))
+	mux.HandleFunc("POST /run", postQuery(func(ctx context.Context, query string) (any, error) {
+		res, sugs, err := client.Run(ctx, query)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return nil, err
 		}
-		writeJSON(w, map[string]any{
+		return map[string]any{
 			"results":     ResultsJSON(res),
 			"suggestions": SuggestionsJSON(sugs),
-		})
-	})
+		}, nil
+	}))
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statsResponse{
 			InitStats: client.Stats(),
@@ -74,17 +66,21 @@ func Handler(client *sapphire.Client) http.Handler {
 	return mux
 }
 
-func readBody(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST the SPARQL query as the request body", http.StatusMethodNotAllowed)
-		return "", false
+// postQuery adapts an action on the SPARQL query in a POST body into a
+// route handler that answers the action's value as JSON.
+func postQuery(do func(ctx context.Context, query string) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		query, err := endpoint.ReadQuery(w, r)
+		var out any
+		if err == nil {
+			out, err = do(r.Context(), query)
+		}
+		if err != nil {
+			endpoint.WriteError(w, r, err)
+			return
+		}
+		writeJSON(w, out)
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil || len(strings.TrimSpace(string(body))) == 0 {
-		http.Error(w, "empty query", http.StatusBadRequest)
-		return "", false
-	}
-	return string(body), true
 }
 
 // statsResponse is the /stats payload: the initialization statistics

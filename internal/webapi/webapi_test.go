@@ -1,6 +1,7 @@
 package webapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -173,5 +174,80 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if code := postJSON(t, srv.URL+"/run", "garbage", &out); code != http.StatusBadRequest {
 		t.Errorf("bad run = %d", code)
+	}
+
+	// JSON-accepting callers get the endpoint's error envelope. The
+	// oversized body is a valid query followed by a comment up to and
+	// past endpoint.MaxQueryBytes, so a reader that silently truncated
+	// it would answer the cut query instead of refusing it.
+	tooLarge := `SELECT ?w WHERE { <http://dbpedia.org/resource/Tom_Hanks> <http://dbpedia.org/ontology/spouse> ?w . }` +
+		"\n#" + strings.Repeat("x", endpoint.MaxQueryBytes)
+	cases := []struct {
+		route, body string
+		status      int
+		code        string
+	}{
+		{"/query", "  ", http.StatusBadRequest, endpoint.CodeParse},
+		{"/query", "garbage", http.StatusBadRequest, endpoint.CodeParse},
+		{"/suggest", "garbage", http.StatusBadRequest, endpoint.CodeParse},
+		{"/run", "garbage", http.StatusBadRequest, endpoint.CodeParse},
+		{"/run", tooLarge, http.StatusRequestEntityTooLarge, endpoint.CodeTooLarge},
+	}
+	for _, tc := range cases {
+		if status, code := postEnvelope(t, srv.URL+tc.route, tc.body); status != tc.status || code != tc.code {
+			t.Errorf("%s with a %d-byte body = %d %q, want %d %q", tc.route, len(tc.body), status, code, tc.status, tc.code)
+		}
+	}
+}
+
+// postEnvelope POSTs body to url as a JSON-accepting client and returns
+// the status and the error envelope's code ("" when there is none).
+func postEnvelope(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/sparql-query")
+	req.Header.Set("Accept", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&env)
+	return resp.StatusCode, env.Error.Code
+}
+
+// TestMemberRejectionIs429: a member whose admission limit refuses the
+// query surfaces through /query as 429 "rejected", not a caller error.
+func TestMemberRejectionIs429(t *testing.T) {
+	d := datagen.Generate(datagen.SmallConfig())
+	ctx := context.Background()
+	// Initialize against the unlimited member, then serve from its cache
+	// over the same data behind an admission limit.
+	full := sapphire.New(sapphire.Defaults())
+	if err := full.RegisterEndpoint(ctx, endpoint.NewLocal("member", d.Store, endpoint.Limits{})); err != nil {
+		t.Fatal(err)
+	}
+	var cache bytes.Buffer
+	if err := full.SaveEndpointCache("member", &cache); err != nil {
+		t.Fatal(err)
+	}
+	limited := sapphire.New(sapphire.Defaults())
+	member := endpoint.NewLocal("member", d.Store, endpoint.Limits{RejectEstimateAbove: 10})
+	if err := limited.RegisterEndpointWithCache(member, &cache); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(limited))
+	defer srv.Close()
+	code, ec := postEnvelope(t, srv.URL+"/query", `SELECT ?s ?o WHERE { ?s <http://dbpedia.org/ontology/name> ?o . }`)
+	if code != http.StatusTooManyRequests || ec != endpoint.CodeRejected {
+		t.Errorf("/query over a rejecting member = %d %q, want 429 %q", code, ec, endpoint.CodeRejected)
 	}
 }

@@ -282,7 +282,7 @@ func (c *Client) Suggest(ctx context.Context, query string) ([]Suggestion, error
 	if m == nil {
 		return nil, fmt.Errorf("sapphire: no endpoints registered")
 	}
-	q, err := sparql.Parse(query)
+	q, err := parseQuery(query)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +297,7 @@ func (c *Client) Run(ctx context.Context, query string) (*Results, []Suggestion,
 	if m == nil {
 		return nil, nil, fmt.Errorf("sapphire: no endpoints registered")
 	}
-	q, err := sparql.Parse(query)
+	q, err := parseQuery(query)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -310,6 +310,16 @@ func (c *Client) Run(ctx context.Context, query string) (*Results, []Suggestion,
 		return res, nil, err
 	}
 	return res, sugs, nil
+}
+
+// parseQuery parses a caller's query text; a query that does not parse
+// fails with endpoint.ErrParse, which HTTP surfaces answer 400.
+func parseQuery(query string) (*sparql.Query, error) {
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return nil, fmt.Errorf("sapphire: %w: %v", endpoint.ErrParse, err)
+	}
+	return q, nil
 }
 
 // NewMemoryEndpoint builds an in-process endpoint over the given triples

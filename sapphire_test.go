@@ -133,10 +133,10 @@ func TestClientMultipleEndpointsMergedCache(t *testing.T) {
 
 func TestClientOverHTTP(t *testing.T) {
 	d := datagen.Generate(datagen.SmallConfig())
-	srv := httptest.NewServer(endpoint.Handler(endpoint.NewLocal("remote", d.Store, endpoint.Limits{})))
+	srv := httptest.NewServer(endpoint.NewMux(endpoint.NewLocal("remote", d.Store, endpoint.Limits{})))
 	defer srv.Close()
 	c := New(Defaults())
-	if err := c.RegisterHTTP(context.Background(), srv.URL); err != nil {
+	if err := c.RegisterHTTP(context.Background(), srv.URL+"/sparql"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Query(context.Background(),
