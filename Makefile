@@ -3,7 +3,7 @@
 #   make test           - vet gate + full test suite, then the same for the
 #                         separate sapbench benchmark module
 #   make race           - race-detector pass over the concurrency-sensitive packages
-#   make fuzz           - short parser and Jaro-Winkler fuzz smoke (same job CI runs)
+#   make fuzz           - short parser, ORDER BY and Jaro-Winkler fuzz smoke (same job CI runs)
 #   make fmt            - fail if any file is not gofmt-clean (same check CI runs)
 #   make bench          - full benchmark sweep (3 runs, alloc stats) saved to
 #                         BENCH_<yyyy-mm-dd>.txt for before/after comparisons
@@ -108,6 +108,7 @@ race:
 
 fuzz:
 	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzParse' -fuzztime=30s
+	$(GO) test ./internal/sparql/ -run '^$$' -fuzz 'FuzzOrderBy' -fuzztime=30s
 	$(GO) test ./internal/similarity/ -run '^$$' -fuzz 'FuzzJaroWinkler' -fuzztime=30s
 
 crashtest:

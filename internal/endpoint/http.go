@@ -224,6 +224,28 @@ type Client struct {
 	userAgent string
 }
 
+// maxJSONTail bounds what readJSONTail reads past a results document.
+const maxJSONTail = 4096
+
+// readJSONTail reads what follows a decoded results document — the
+// decoder's unread buffer, then the body — to EOF. Go's transport
+// reuses a keep-alive connection only once the body was read to EOF;
+// a chunked response's terminating chunk (and the encoder's trailing
+// newline) sits past the document, so closing the body right after
+// Decode would cost a fresh dial per query. Anything but whitespace
+// there is a malformed response; a tail longer than maxJSONTail is not
+// read further, and that connection is simply dropped.
+func readJSONTail(buffered, body io.Reader) error {
+	tail, err := io.ReadAll(io.LimitReader(io.MultiReader(buffered, body), maxJSONTail))
+	if err != nil {
+		return err
+	}
+	if len(bytes.TrimSpace(tail)) != 0 {
+		return errors.New("data after the results document")
+	}
+	return nil
+}
+
 // NewClient returns a client for the endpoint at rawURL, configured by
 // functional options. With no options it uses the default RetryPolicy:
 // transient failures (connection errors, 5xx) retry a bounded number of
@@ -396,7 +418,11 @@ func (c *Client) queryOnce(ctx context.Context, query string) (_ *sparql.Results
 		}
 	}
 	var jr jsonResults
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	dec := json.NewDecoder(resp.Body)
+	if err := dec.Decode(&jr); err != nil {
+		return nil, false, fmt.Errorf("endpoint %s: bad JSON: %w", c.url, err)
+	}
+	if err := readJSONTail(dec.Buffered(), resp.Body); err != nil {
 		return nil, false, fmt.Errorf("endpoint %s: bad JSON: %w", c.url, err)
 	}
 	res := &sparql.Results{Vars: jr.Head.Vars}

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sapphire/internal/rdf"
@@ -453,4 +455,70 @@ type countingTransport struct {
 func (t *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	t.calls++
 	return t.inner.RoundTrip(r)
+}
+
+// TestClientKeepsConnectionAlive pins keep-alive reuse on chunked
+// responses: 20 queries whose 200-row results stream chunked must share
+// one TCP connection. Closing a body the JSON decoder had not read to
+// EOF made the transport drop the connection, one dial per query.
+func TestClientKeepsConnectionAlive(t *testing.T) {
+	srv := httptest.NewServer(NewMux(NewLocal("local", testStore(t, 200), Limits{})))
+	defer srv.Close()
+	const query = `SELECT ?s ?n WHERE { ?s <http://x/name> ?n . }`
+
+	// The fixture must really take the chunked path.
+	resp, err := http.PostForm(srv.URL+"/sparql", url.Values{"query": {query}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if len(resp.TransferEncoding) == 0 || resp.TransferEncoding[0] != "chunked" {
+		t.Fatalf("response Transfer-Encoding = %v, want chunked", resp.TransferEncoding)
+	}
+
+	var dials atomic.Int32
+	var d net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return d.DialContext(ctx, network, addr)
+	}}
+	defer tr.CloseIdleConnections()
+	client := NewClient(srv.URL+"/sparql", WithHTTPClient(&http.Client{Transport: tr}))
+	for i := 0; i < 20; i++ {
+		res, err := client.Query(context.Background(), query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 200 {
+			t.Fatalf("rows = %d, want 200", len(res.Rows))
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("20 queries dialed %d times, want 1", n)
+	}
+}
+
+// TestClientRejectsTrailingData pins that a results document followed
+// by anything but whitespace is a malformed response, not a result.
+func TestClientRejectsTrailingData(t *testing.T) {
+	const doc = `{"head":{"vars":["s"]},"results":{"bindings":[]}}`
+	for _, tc := range []struct {
+		tail string
+		ok   bool
+	}{{"\n", true}, {" \r\n\t", true}, {"\n{}", false}, {"x", false}} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/sparql-results+json")
+			io.WriteString(w, doc+tc.tail)
+		}))
+		_, err := NewClient(srv.URL, WithRetryPolicy(RetryPolicy{MaxAttempts: 1})).
+			Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o . }`)
+		srv.Close()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("tail %q: %v", tc.tail, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "bad JSON")):
+			t.Errorf("tail %q: err = %v, want bad JSON", tc.tail, err)
+		}
+	}
 }

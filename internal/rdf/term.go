@@ -10,6 +10,8 @@ package rdf
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -91,6 +93,28 @@ func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 
 // IsZero reports whether the term is the invalid zero value.
 func (t Term) IsZero() bool { return t.Kind == KindInvalid }
+
+// NumericValue reports the value of a literal whose lexical form parses
+// as a float64 other than NaN: the literals SPARQL ORDER BY ranks by
+// value rather than by term order. A first-byte check keeps ParseFloat
+// off ordinary strings ('i'/'I'/'n'/'N' start the "Inf", "infinity"
+// and "NaN" spellings ParseFloat accepts).
+func (t *Term) NumericValue() (float64, bool) {
+	if t.Kind != KindLiteral || t.Value == "" {
+		return 0, false
+	}
+	switch c := t.Value[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.',
+		c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(t.Value, 64)
+	if err != nil || math.IsNaN(f) {
+		return 0, false
+	}
+	return f, true
+}
 
 // String renders the term in N-Triples syntax. Invalid terms render as
 // "<invalid>".

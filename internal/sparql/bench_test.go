@@ -104,6 +104,40 @@ func BenchmarkEvalOrderByLimit(b *testing.B) {
 	})
 }
 
+// BenchmarkEvalOrderByLimitMultiKey measures two-key ORDER BY pages —
+// the page-walk shape `ORDER BY ?n ?s LIMIT 20 OFFSET 40` — over 10k
+// people in a store that also holds numeric literals (an integer age
+// per person). names runs both keys on rank labels; ages puts a numeric
+// column first, so its key compares fall back to memoized terms.
+func BenchmarkEvalOrderByLimitMultiKey(b *testing.B) {
+	const people = 10_000
+	s := benchGraph(people)
+	age := rdf.NewIRI("http://x/age")
+	for i := 0; i < people; i++ {
+		subj := rdf.NewIRI(fmt.Sprintf("http://x/p%d", i))
+		s.MustAdd(rdf.NewTriple(subj, age, rdf.NewTypedLiteral(fmt.Sprintf("%d", (i*37)%90), rdf.XSDInteger)))
+	}
+	s.BuildOrderLabels()
+	for _, tc := range []struct{ name, query string }{
+		{"names", `SELECT ?s ?n WHERE { ?s a <http://x/Person> . ?s <http://x/name> ?n . } ORDER BY ?n ?s LIMIT 20 OFFSET 40`},
+		{"ages", `SELECT ?s ?a WHERE { ?s <http://x/age> ?a . } ORDER BY DESC(?a) ?s LIMIT 20 OFFSET 40`},
+	} {
+		q := MustParse(tc.query)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Eval(s, q, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) != 20 {
+					b.Fatalf("rows = %d", len(res.Rows))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEvalFilterPushdown measures FILTER under LIMIT: the
 // streaming pipeline stops scanning the moment enough rows pass the
 // filter; the materializing reference filters the full solution set

@@ -182,9 +182,11 @@ func dumpOrdered(res *Results) string {
 // diffStore seeds a store in the given sharding configuration with a
 // graph exercising every query shape: typed subjects, names (absent for
 // every 4th subject, so OPTIONAL has unmatched rows), knows edges, and
-// — when numeric is true — integer ages, whose presence flips the
-// ORDER BY label path off (numeric literals order by value, not term
-// order), so both top-k modes get differential coverage.
+// — when numeric is true — integer ages and a code column mixing
+// numeric and non-numeric literals. Numeric literals order by value,
+// not term order, so their rank labels read 0 and every compare that
+// touches one falls back to terms: the numeric store runs the ORDER BY
+// operators on mixed label and term compares.
 func diffStore(storeShards, dictShards, n int, numeric bool) *store.Store {
 	s := store.NewShardedDict(storeShards, dictShards)
 	for i := 0; i < n; i++ {
@@ -205,7 +207,29 @@ func diffAddSubject(add func(rdf.Triple), i, n int, numeric bool) {
 	if numeric {
 		add(rdf.NewTriple(subj, rdf.NewIRI("http://x/age"),
 			rdf.NewTypedLiteral(fmt.Sprintf("%d", (i*37)%90), rdf.XSDInteger)))
+		add(rdf.NewTriple(subj, rdf.NewIRI("http://x/code"), mixedCode(i)))
 	}
+}
+
+// mixedCode is subject i's code: integers, decimals, numeric-looking
+// strings ("12a") and words, as plain and language-tagged literals,
+// with repeats so ORDER BY keys tie.
+func mixedCode(i int) rdf.Term {
+	var v string
+	switch i % 4 {
+	case 0:
+		v = fmt.Sprintf("%d", (i*13)%20)
+	case 1:
+		v = fmt.Sprintf("%d.5", (i*7)%10)
+	case 2:
+		v = fmt.Sprintf("%da", (i*11)%15)
+	default:
+		v = fmt.Sprintf("c%d", i%6)
+	}
+	if i%3 == 0 {
+		return rdf.NewLangLiteral(v, "en")
+	}
+	return rdf.NewLiteral(v)
 }
 
 // diffQueries is the randomized pool the battery draws from — every
@@ -213,15 +237,17 @@ func diffAddSubject(add func(rdf.Triple), i, n int, numeric bool) {
 // OPTIONAL (matched and unmatched, with filters over optional vars),
 // DISTINCT, ORDER BY asc/desc single- and multi-key, every LIMIT/OFFSET
 // combination, UNION (plain and with modifiers), aggregates, and point
-// lookups. Parameterized by the current subject count so lookups hit
-// and miss.
+// lookups; the numeric store adds multi-key ORDER BY over the numeric
+// and mixed columns through the top-k heap, the DISTINCT sort and the
+// unlimited sort. Parameterized by the current subject count so lookups
+// hit and miss.
 func diffQueries(rng *rand.Rand, n int, numeric bool) string {
 	i := rng.Intn(n * 2)
 	k := 1 + rng.Intn(8)
 	m := rng.Intn(5)
 	kinds := 13
 	if numeric {
-		kinds = 15
+		kinds = 21
 	}
 	switch rng.Intn(kinds) {
 	case 0:
@@ -252,8 +278,20 @@ func diffQueries(rng *rand.Rand, n int, numeric bool) string {
 		return fmt.Sprintf(`SELECT ?n ?m WHERE { ?s <http://x/knows> ?t . ?s <http://x/name> ?n . ?t <http://x/name> ?m . FILTER (strlen(str(?n)) > %d) }`, 7+i%3)
 	case 13:
 		return fmt.Sprintf(`SELECT ?s ?a WHERE { ?s <http://x/age> ?a . } ORDER BY ?a LIMIT %d OFFSET %d`, k, m)
-	default:
+	case 14:
 		return fmt.Sprintf(`SELECT ?s ?a WHERE { ?s <http://x/age> ?a . FILTER (?a > %d) } ORDER BY DESC(?a) LIMIT %d`, i%60, k)
+	case 15:
+		return fmt.Sprintf(`SELECT ?s ?a WHERE { ?s <http://x/age> ?a . } ORDER BY ?a ?s LIMIT %d OFFSET %d`, k, m)
+	case 16:
+		return fmt.Sprintf(`SELECT ?s ?a WHERE { ?s <http://x/age> ?a . } ORDER BY DESC(?a) DESC(?s) LIMIT %d OFFSET %d`, k, m)
+	case 17:
+		return fmt.Sprintf(`SELECT DISTINCT ?a ?n WHERE { ?s <http://x/age> ?a . OPTIONAL { ?s <http://x/name> ?n . } } ORDER BY DESC(?a) ?n LIMIT %d OFFSET %d`, k, m)
+	case 18:
+		return `SELECT ?s ?a ?c WHERE { ?s <http://x/age> ?a . ?s <http://x/code> ?c . } ORDER BY ?c DESC(?a)`
+	case 19:
+		return fmt.Sprintf(`SELECT ?s ?c WHERE { ?s <http://x/code> ?c . } ORDER BY DESC(?c) ?s LIMIT %d OFFSET %d`, k, m)
+	default:
+		return fmt.Sprintf(`SELECT ?c ?s WHERE { ?s <http://x/code> ?c . } ORDER BY ?c LIMIT %d`, k)
 	}
 }
 
@@ -318,9 +356,9 @@ func diffWorkload(t *testing.T, storeShards, dictShards, workers int, numeric bo
 // TestDifferentialEquivalence is the evaluator-equivalence battery: the
 // streaming pipeline against the materializing reference, across every
 // (storeShards × dictShards × workers) configuration in {1,8}² × {1,4},
-// with and without numeric literals (toggling the rank-label top-k
-// path), under a seeded workload of every query shape interleaved with
-// online Adds and bulk commits. Beyond streaming == reference per
+// with and without numeric literals (which the ORDER BY operators
+// compare by term instead of by rank label), under a seeded workload of
+// every query shape interleaved with online Adds and bulk commits. Beyond streaming == reference per
 // store, every configuration's dump stream must match the (1,1,serial)
 // baseline — neither shard routing nor morsel parallelism may be
 // observable in the output. The morsel size is pinned tiny so the

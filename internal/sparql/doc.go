@@ -20,9 +20,10 @@
 // pipeline stage at which its variables can no longer change. The plan
 // executes as a chain of push-based operators (iter.go) — depth-first
 // index-nested-loop join with inline level filters, left joins for
-// OPTIONAL, ORDER BY as a bounded top-k heap or a full stable sort,
-// projection, ID-keyed DISTINCT, and an OFFSET/LIMIT slice whose
-// early-exit propagates back up the whole chain, for every query class.
+// OPTIONAL, ORDER BY as a bounded top-k heap or a full sort (one
+// comparator over the graph's rank labels, order.go), projection,
+// ID-keyed DISTINCT, and an OFFSET/LIMIT slice whose early-exit
+// propagates back up the whole chain, for every query class.
 // Rows stay dictionary IDs end to end; terms materialize only when rows
 // leave the pipeline (or inside filter and order-key evaluation).
 //

@@ -49,14 +49,13 @@ type IDGraph interface {
 	// batched into morsels of up to size triples, under a PinRead
 	// session. Each batch is the callee's to retain.
 	ScanMorselsPinned(s, p, o uint32, size int, fn func(batch [][3]uint32) bool)
-	// OrderLabels reports per-ID order labels: label order equals term
-	// order for labeled IDs, 0 means unlabeled. exact reports whether
-	// label order equals the evaluator's ORDER BY comparator order for
-	// every pair of terms in the graph — false as soon as any literal
-	// parses as a number, since SPARQL orders those by numeric value.
-	// The top-k ORDER BY operator compares labels instead of terms when
-	// exact is true, resolving terms only for the k surviving rows.
-	OrderLabels() (label func(id uint32) uint64, exact bool)
+	// OrderLabels reports per-ID order labels (nil: none yet). When two
+	// IDs both have nonzero labels, label order equals the ORDER BY
+	// comparator's order on their terms; 0 means "compare the terms",
+	// and is what numeric literals (ordered by value) and IDs newer than
+	// the label table report. The ORDER BY operators compare labels
+	// first, so a page over labeled keys resolves only its k survivors.
+	OrderLabels() (label func(id uint32) uint64)
 }
 
 // Binding maps variable names to terms for one solution row.
@@ -364,26 +363,6 @@ func orderResults(q *Query, res *Results) {
 		}
 		return rowKey(a, res.Vars) < rowKey(b, res.Vars)
 	})
-}
-
-// compareTermsForOrder compares numerically when both terms parse as
-// numbers, else by term order.
-func compareTermsForOrder(a, b rdf.Term) int {
-	if a.IsLiteral() && b.IsLiteral() {
-		af, aerr := strconv.ParseFloat(a.Value, 64)
-		bf, berr := strconv.ParseFloat(b.Value, 64)
-		if aerr == nil && berr == nil {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
-		}
-	}
-	return a.Compare(b)
 }
 
 func pageResults(q *Query, res *Results) {

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"sapphire/internal/rdf"
 )
@@ -464,187 +463,6 @@ func (op *collectOp) push(row []uint32) bool {
 
 func (op *collectOp) flush() bool { return true }
 
-// sortAllOp is the generic ORDER BY: buffer every full row with its
-// resolved key terms, stable-sort at flush, then stream downstream
-// (project → distinct → slice). Used for multi-key ORDER BY, DISTINCT +
-// ORDER BY, and unlimited ORDER BY — the shapes the top-k heap cannot
-// serve.
-type sortAllOp struct {
-	x        *exec
-	keys     []OrderKey
-	keySlots []int
-	rows     []sortRow
-	next     sink
-}
-
-type sortRow struct {
-	row   []uint32
-	terms []rdf.Term
-}
-
-func (op *sortAllOp) push(row []uint32) bool {
-	cp := append([]uint32(nil), row...)
-	kt := make([]rdf.Term, len(op.keySlots))
-	for i, s := range op.keySlots {
-		if s >= 0 && row[s] != 0 {
-			kt[i] = op.x.resolveTerm(row[s])
-		}
-	}
-	op.rows = append(op.rows, sortRow{row: cp, terms: kt})
-	return true
-}
-
-func (op *sortAllOp) flush() bool {
-	sort.SliceStable(op.rows, func(i, j int) bool {
-		a, b := &op.rows[i], &op.rows[j]
-		for k, key := range op.keys {
-			c := compareTermsForOrder(a.terms[k], b.terms[k])
-			if c != 0 {
-				if key.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	for i := range op.rows {
-		if !op.next.push(op.rows[i].row) {
-			break
-		}
-	}
-	return op.next.flush()
-}
-
-// topKOp is the bounded ORDER BY ?x LIMIT k path: a max-heap of the
-// Offset+Limit best rows seen so far, ordered by the store's uint64 rank
-// labels when they are exact for ORDER BY (integer compares, no term
-// resolution), falling back to memoized term compares per item when a
-// label is missing or numeric literals make label order inexact. Ties
-// break by arrival order (seq), reproducing the stable sort the generic
-// path uses, so the emitted page is byte-identical to sort-then-page.
-// Memory is O(k · row width) regardless of how many rows stream through.
-type topKOp struct {
-	x       *exec
-	k       int
-	desc    bool
-	keySlot int // -1: the key variable is bound nowhere (all keys tie)
-	label   func(uint32) uint64
-	heap    []topkItem // max-heap: root = last of the kept rows in output order
-	seq     int
-	next    sink
-}
-
-type topkItem struct {
-	lab      uint64
-	id       uint32
-	resolved bool
-	t        rdf.Term
-	seq      int
-	row      []uint32
-}
-
-func (op *topKOp) push(row []uint32) bool {
-	if op.k == 0 {
-		return false
-	}
-	it := topkItem{seq: op.seq}
-	op.seq++
-	if op.keySlot >= 0 {
-		it.id = row[op.keySlot]
-	}
-	if op.label != nil && it.id != 0 {
-		it.lab = op.label(it.id)
-	}
-	if len(op.heap) == op.k {
-		if !op.before(&it, &op.heap[0]) {
-			return true // at or after the current worst: not in the top k
-		}
-		it.row = append(op.heap[0].row[:0], row...)
-		op.heap[0] = it
-		op.siftDown(0)
-		return true
-	}
-	it.row = append([]uint32(nil), row...)
-	op.heap = append(op.heap, it)
-	op.siftUp(len(op.heap) - 1)
-	return true
-}
-
-// before reports whether a strictly precedes b in final output order.
-// Nonzero labels compare directly (label order == term order, and exact
-// ORDER BY order when the label path is enabled at all); any unlabeled
-// side falls back to the memoized terms. Equal keys order by arrival.
-func (op *topKOp) before(a, b *topkItem) bool {
-	c := 0
-	if a.lab != 0 && b.lab != 0 {
-		switch {
-		case a.lab < b.lab:
-			c = -1
-		case a.lab > b.lab:
-			c = 1
-		}
-	} else {
-		c = compareTermsForOrder(op.term(a), op.term(b))
-	}
-	if op.desc {
-		c = -c
-	}
-	if c != 0 {
-		return c < 0
-	}
-	return a.seq < b.seq
-}
-
-func (op *topKOp) term(it *topkItem) rdf.Term {
-	if !it.resolved {
-		if it.id != 0 {
-			it.t = op.x.resolveTerm(it.id)
-		}
-		it.resolved = true
-	}
-	return it.t
-}
-
-func (op *topKOp) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !op.before(&op.heap[p], &op.heap[i]) {
-			return
-		}
-		op.heap[p], op.heap[i] = op.heap[i], op.heap[p]
-		i = p
-	}
-}
-
-func (op *topKOp) siftDown(i int) {
-	n := len(op.heap)
-	for {
-		big := i
-		if l := 2*i + 1; l < n && op.before(&op.heap[big], &op.heap[l]) {
-			big = l
-		}
-		if r := 2*i + 2; r < n && op.before(&op.heap[big], &op.heap[r]) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		op.heap[i], op.heap[big] = op.heap[big], op.heap[i]
-		i = big
-	}
-}
-
-func (op *topKOp) flush() bool {
-	sort.Slice(op.heap, func(i, j int) bool { return op.before(&op.heap[i], &op.heap[j]) })
-	for i := range op.heap {
-		if !op.next.push(op.heap[i].row) {
-			break
-		}
-	}
-	return op.next.flush()
-}
-
 // tailSpec describes the buffering head of the modifier tail to the
 // parallel runner, so each worker can run the equivalent bounded
 // operator per morsel: a top-k pruner when the tail is the bounded
@@ -652,16 +470,14 @@ func (op *topKOp) flush() bool {
 // reaches the slice unconditionally (no ORDER BY, no DISTINCT, no
 // aggregation — projection never drops rows), unbounded otherwise.
 type tailSpec struct {
-	topK    bool
-	k       int
-	desc    bool
-	keySlot int
-	label   func(uint32) uint64
-	rowCap  int // -1 = unbounded
+	topK   bool
+	k      int
+	ord    rowOrder // topK: the heap's comparator (keys, directions, labels)
+	rowCap int      // -1 = unbounded
 }
 
 // buildTail assembles the modifier tail of the pipeline — ORDER BY
-// (top-k heap | stable sort) → project → DISTINCT → OFFSET/LIMIT slice
+// (top-k heap | full sort) → project → DISTINCT → OFFSET/LIMIT slice
 // → collect — and returns its entry sink, the terminal collector, and
 // the tailSpec the parallel runner mirrors per morsel. Aggregate
 // queries collect full rows directly (their modifiers apply after
@@ -704,29 +520,12 @@ func buildTail(x *exec, projVars []string, aggregates bool) (sink, *collectOp, t
 		tail = &projectOp{slots: projSlots, buf: make([]uint32, len(projSlots)), next: tail}
 	}
 	if len(q.OrderBy) > 0 {
-		if len(q.OrderBy) == 1 && q.Limit >= 0 && !q.Distinct {
-			op := &topKOp{x: x, k: q.Offset + q.Limit, desc: q.OrderBy[0].Desc, keySlot: -1, next: tail}
-			if s, ok := pl.slots[q.OrderBy[0].Var]; ok {
-				op.keySlot = s
-			}
-			if x.ig != nil {
-				if label, exact := x.ig.OrderLabels(); exact {
-					op.label = label // may be nil: term fallback per item
-				}
-			}
-			tail = op
-			spec.topK, spec.k, spec.desc, spec.keySlot, spec.label =
-				true, op.k, op.desc, op.keySlot, op.label
+		ord := newRowOrder(x, q.OrderBy)
+		if q.Limit >= 0 && !q.Distinct {
+			tail = &topKOp{ord: ord, k: q.Offset + q.Limit, next: tail}
+			spec.topK, spec.k, spec.ord = true, q.Offset+q.Limit, ord
 		} else {
-			op := &sortAllOp{x: x, keys: q.OrderBy, keySlots: make([]int, len(q.OrderBy)), next: tail}
-			for i, k := range q.OrderBy {
-				if s, ok := pl.slots[k.Var]; ok {
-					op.keySlots[i] = s
-				} else {
-					op.keySlots[i] = -1
-				}
-			}
-			tail = op
+			tail = &sortAllOp{ord: ord, next: tail}
 		}
 	}
 	return tail, collect, spec
@@ -800,7 +599,7 @@ func (x *exec) scanJoin(tail sink, parallel bool, workers int, spec tailSpec) {
 //	scan/join (DFS, level filters inline)
 //	  → [left join per OPTIONAL block, its stage filters after it]
 //	  → [end-stage filters]
-//	  → ORDER BY (top-k heap | stable sort) — buffering, pre-projection
+//	  → ORDER BY (top-k heap | full sort) — buffering, pre-projection
 //	  → project → DISTINCT (ID hash set) → OFFSET/LIMIT slice → collect
 //
 // Aggregate queries collect full rows instead of the modifier tail and

@@ -267,9 +267,9 @@ func (c *countingGraph) ResolveID(id uint32) rdf.Term {
 	return c.Store.ResolveID(id)
 }
 
-func (c *countingGraph) OrderLabels() (func(uint32) uint64, bool) {
+func (c *countingGraph) OrderLabels() func(uint32) uint64 {
 	if c.noLabels {
-		return nil, true
+		return nil
 	}
 	return c.Store.OrderLabels()
 }
@@ -279,7 +279,8 @@ func (c *countingGraph) OrderLabels() (func(uint32) uint64, bool) {
 // compares uint64 labels inside the heap and resolves terms only for
 // the k surviving rows — tens of ResolveID calls, not 10 000. Without
 // labels the same query resolves a term per buffered row, which is the
-// regression this test would catch.
+// regression this test would catch. The same bound holds for two-key
+// pages over a store that holds numeric literals.
 func TestOrderByLimitResolvesOnlyK(t *testing.T) {
 	const n = 10_000
 	s := buildWide(t, n)
@@ -312,6 +313,33 @@ func TestOrderByLimitResolvesOnlyK(t *testing.T) {
 	}
 	if cg.resolves*10 > cg2.resolves {
 		t.Errorf("labels saved too little: %d resolves with labels vs %d without", cg.resolves, cg2.resolves)
+	}
+
+	// Two keys over a store that also holds numeric literals (an integer
+	// age per person): numeric literals only zero their own labels, so
+	// the page still compares labels and resolves little beyond its rows.
+	ns := buildWide(t, n)
+	age := rdf.NewIRI("http://x/age")
+	for i := 0; i < n; i++ {
+		ns.MustAdd(rdf.NewTriple(rdf.NewIRI(fmt.Sprintf("http://x/p%d", i)), age,
+			rdf.NewTypedLiteral(fmt.Sprintf("%d", i%90), rdf.XSDInteger)))
+	}
+	ns.BuildOrderLabels()
+	for _, src := range []string{
+		`SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY ?n ?s LIMIT 10`,
+		`SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY DESC(?n) DESC(?s) LIMIT 10`,
+	} {
+		cg := &countingGraph{Store: ns}
+		res, err := Eval(cg, MustParse(src), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 10 {
+			t.Fatalf("%s: rows = %d, want 10", src, len(res.Rows))
+		}
+		if cg.resolves > 100 {
+			t.Errorf("%s over a store with numeric literals resolved %d terms, want <= 100", src, cg.resolves)
+		}
 	}
 }
 

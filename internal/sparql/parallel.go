@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -30,7 +29,7 @@ import (
 //   - the bounded ORDER BY tail additionally lets workers pre-prune
 //     each morsel to its local top k: a row beaten by k rows of its own
 //     morsel is beaten by those k rows globally (the heap's
-//     (key, arrival) order is a strict total order, and same-morsel
+//     (keys, arrival) order is a strict total order, and same-morsel
 //     rows keep their serial relative arrival order), so it can never
 //     be in the global top k. Survivors are emitted in arrival order,
 //     which keeps the final heap's tie-break identical to serial.
@@ -99,28 +98,15 @@ func (b *morselBuf) take() [][]uint32 { return b.rows }
 // morselTopK pre-prunes a morsel to its local top k using the same heap
 // operator the tail runs, then hands the survivors back in arrival
 // order — the order the global heap needs to reproduce serial
-// tie-breaking. The heap items own row copies, so taking them is safe.
+// tie-breaking.
 type morselTopK struct {
 	op *topKOp
 }
 
 func (m *morselTopK) push(row []uint32) bool { return m.op.push(row) }
 func (m *morselTopK) flush() bool            { return true }
-
-func (m *morselTopK) reset() {
-	m.op.heap = m.op.heap[:0]
-	m.op.seq = 0
-}
-
-func (m *morselTopK) take() [][]uint32 {
-	h := m.op.heap
-	sort.Slice(h, func(i, j int) bool { return h[i].seq < h[j].seq })
-	rows := make([][]uint32, len(h))
-	for i := range h {
-		rows[i] = h[i].row
-	}
-	return rows
-}
+func (m *morselTopK) reset()                 {}
+func (m *morselTopK) take() [][]uint32       { return m.op.takeArrival() }
 
 // parGroup is one pattern group prepared for parallel execution: the
 // compiled patterns plus the level-0 binding spec every worker replays
@@ -269,9 +255,7 @@ func (r *parallelRun) workerLoop(jobs <-chan *morselJob) {
 	wx := &exec{pl: x.pl, g: x.g, ig: x.ig, budget: x.budget}
 	var ws workerSink
 	if r.spec.topK {
-		ws = &morselTopK{op: &topKOp{
-			x: wx, k: r.spec.k, desc: r.spec.desc, keySlot: r.spec.keySlot, label: r.spec.label,
-		}}
+		ws = &morselTopK{op: &topKOp{ord: r.spec.ord, k: r.spec.k}}
 	} else {
 		ws = &morselBuf{rowCap: r.spec.rowCap}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -86,17 +87,18 @@ func TestScanMorselsPinnedEarlyStop(t *testing.T) {
 }
 
 // TestOrderLabelsNeverZeroForRealTerms is the rank-label audit behind
-// the evaluator's top-k fast path: topKOp treats label 0 as "unlabeled,
-// compare terms", so a real term labeled 0 would silently change which
-// comparison path runs. The label construction makes 0 impossible —
-// labels are (k+1)*stride with stride >= 1 — and this test pins that
-// for every ID occurring in any triple, across shardings and after
-// incremental growth + rebuild.
+// the evaluator's ORDER BY label path: it treats label 0 as "compare
+// terms", so a real non-numeric term labeled 0 would silently change
+// which comparison path runs. The label construction makes 0 impossible
+// — labels are (k+1)*stride with stride >= 2, and only numeric literals
+// (none here) report 0 — and this test pins that for every ID occurring
+// in any triple, across shardings and after incremental growth +
+// rebuild.
 func TestOrderLabelsNeverZeroForRealTerms(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		s := morselFixture(t, shards, 200)
 		s.BuildOrderLabels()
-		label, _ := s.OrderLabels()
+		label := s.OrderLabels()
 		if label == nil {
 			t.Fatal("no rank table after BuildOrderLabels")
 		}
@@ -128,8 +130,54 @@ func TestOrderLabelsNeverZeroForRealTerms(t *testing.T) {
 			s.MustAdd(rdf.NewTriple(subj, rdf.NewIRI("http://x/v"), rdf.NewLiteral(fmt.Sprintf("zzz %d", i))))
 		}
 		s.BuildOrderLabels()
-		label, _ = s.OrderLabels()
+		label = s.OrderLabels()
 		check("after growth + rebuild")
+	}
+}
+
+// TestOrderLabelsZeroForNumericLiterals pins the label contract the
+// evaluator's ORDER BY relies on: numeric literals (which it orders by
+// value) report label 0 through OrderLabels, while every other term
+// keeps a nonzero label that follows term order — on a rank table from
+// a build and on one seeded by a snapshot restore (rankMinTerms terms,
+// so the restore seeds one). The raw labels the cross-shard merge reads
+// stay nonzero and term-ordered for numeric literals too.
+func TestOrderLabelsZeroForNumericLiterals(t *testing.T) {
+	s := NewSharded(4)
+	for i := 0; i < rankMinTerms; i++ {
+		subj := rdf.NewIRI(fmt.Sprintf("http://x/s%d", i))
+		s.MustAdd(rdf.NewTriple(subj, rdf.NewIRI("http://x/v"), rdf.NewLiteral(fmt.Sprintf("%d", i))))
+		s.MustAdd(rdf.NewTriple(subj, rdf.NewIRI("http://x/w"), rdf.NewLiteral(fmt.Sprintf("%da", i))))
+	}
+	s.BuildOrderLabels()
+	var buf bytes.Buffer
+	if _, err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, _, err := RestoreSnapshotBytes(buf.Bytes(), 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Store{"built": s, "restored": restored} {
+		label := st.OrderLabels()
+		if label == nil {
+			t.Fatalf("%s: no rank table", name)
+		}
+		rt := st.dict.ranks.Load()
+		var prev rdf.Term
+		var prevRaw uint64
+		for _, id := range st.dict.rankOrder {
+			term := st.ResolveID(id)
+			raw := rt.label(id)
+			if raw == 0 || raw <= prevRaw {
+				t.Fatalf("%s: raw label of %s is %d after %s's %d — not nonzero and term-ordered", name, term, raw, prev, prevRaw)
+			}
+			prev, prevRaw = term, raw
+			_, numeric := term.NumericValue()
+			if got := label(id); (got == 0) != numeric {
+				t.Fatalf("%s: order label of %s = %d, want zero exactly for numeric literals", name, term, got)
+			}
+		}
 	}
 }
 

@@ -2,30 +2,26 @@ package store
 
 // OrderLabels exposes the dictionary's rank table (see rank.go) to the
 // query evaluator: the returned function maps an interned ID to its
-// uint64 order label, where nonzero labels compare exactly like the
-// underlying terms and 0 means "unlabeled, fall back to a term compare".
-// The label view is a point-in-time snapshot — terms interned after the
-// call report 0 — and the call itself kicks the usual background rebuild
-// when the labeled share has decayed, so steady ORDER BY traffic keeps
-// the table fresh without ever blocking a query.
-//
-// exact reports whether label order equals the evaluator's ORDER BY
-// comparator order for every pair of terms in the store: it is false as
-// soon as any interned literal parses as a number, because SPARQL orders
-// numeric literals by value ("9" < "10") while labels follow term order
-// ("10" < "9"). Callers must not use labels for ordering when exact is
-// false.
+// uint64 order label. Two nonzero labels compare exactly like the
+// evaluator's ORDER BY comparator on the underlying terms; 0 means
+// "fall back to a term compare". Numeric literals always report 0,
+// because the comparator ranks them by value ("9" < "10") where term
+// order would not, and it differs from term order only on pairs with a
+// numeric side — so a label compare is exact whenever both sides are
+// nonzero. The label view is a point-in-time snapshot — terms interned
+// after the call report 0 — and the call itself kicks the usual
+// background rebuild when the labeled share has decayed, so steady
+// ORDER BY traffic keeps the table fresh without ever blocking a query.
 //
 // label is nil when no table has been built yet (small stores below the
 // rank floor, or a fresh store before its first background build).
-func (s *Store) OrderLabels() (label func(id uint32) uint64, exact bool) {
+func (s *Store) OrderLabels() (label func(id uint32) uint64) {
 	s.dict.maybeBuildRanks()
-	exact = !s.dict.numericLits.Load()
 	rt := s.dict.ranks.Load()
 	if rt == nil {
-		return nil, exact
+		return nil
 	}
-	return rt.label, exact
+	return rt.orderLabel
 }
 
 // BuildOrderLabels builds and publishes a rank table synchronously,
@@ -33,7 +29,3 @@ func (s *Store) OrderLabels() (label func(id uint32) uint64, exact bool) {
 // tests use it to measure the label-driven top-k path deterministically;
 // production traffic relies on the background rebuild instead.
 func (s *Store) BuildOrderLabels() { s.dict.buildRanks() }
-
-// HasNumericLiterals reports whether any interned literal parses as a
-// number (see OrderLabels for why ordering code cares).
-func (s *Store) HasNumericLiterals() bool { return s.dict.numericLits.Load() }

@@ -11,6 +11,8 @@ import (
 // every ID labeled at build time, label(id) is a uint64 whose numeric
 // order equals the terms' order, so the cross-shard merge can decide
 // most comparisons with one integer compare instead of a string walk.
+// Labels are multiples of an even stride; the low bit tags numeric
+// literals (see orderLabel), which leaves label order untouched.
 // Unlabeled IDs (interned after the table was built, or sitting in a
 // dictionary shard's in-flight range) report label 0, and comparisons
 // touching them fall back to rdf.Term.CompareTo — the table is a pure
@@ -33,6 +35,31 @@ func (t *rankTable) label(id ID) uint64 {
 		return t.labels[id]
 	}
 	return 0
+}
+
+// orderLabel is label with numeric literals reported as unlabeled: the
+// evaluator's ORDER BY comparator ranks those by value, not by term
+// order, so only the labels of non-numeric terms may stand in for it.
+func (t *rankTable) orderLabel(id ID) uint64 {
+	if l := t.label(id); l&1 == 0 {
+		return l
+	}
+	return 0
+}
+
+// newRankTable labels order (a term-sorted ID list) evenly over the
+// uint64 range, 0 staying "unlabeled", and tags numeric literals.
+func newRankTable(w ID, order []ID, tv termView) *rankTable {
+	nt := &rankTable{labels: make([]uint64, w)}
+	stride := (math.MaxUint64 / uint64(len(order)+1)) &^ 1
+	for k, id := range order {
+		l := uint64(k+1) * stride
+		if _, numeric := tv.atPtr(id).NumericValue(); numeric {
+			l |= 1
+		}
+		nt.labels[id] = l
+	}
+	return nt
 }
 
 // rankMinTerms is the interned-term floor below which no rank table is
@@ -133,13 +160,7 @@ func (d *dict) buildRanks() {
 	merged = append(merged, d.rankOrder[i:]...)
 	merged = append(merged, fresh[j:]...)
 
-	// Label evenly over the uint64 range (0 stays "unlabeled").
-	nt := &rankTable{labels: make([]uint64, w)}
-	stride := math.MaxUint64 / uint64(len(merged)+1)
-	for k, id := range merged {
-		nt.labels[id] = uint64(k+1) * stride
-	}
 	d.rankOrder = merged
-	d.ranks.Store(nt)
+	d.ranks.Store(newRankTable(w, merged, tv))
 	d.labeled.Store(ID(len(merged)))
 }
